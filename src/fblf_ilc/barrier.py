@@ -46,8 +46,10 @@ def _check_domain(V, b):
     return V
 
 
-# value, d/dV, d2/dV2 for each kind; V is an array, b a scalar
-_FORMS = {
+# value, d/dV, d2/dV2 for each kind; V is an array or a float, b a scalar.
+# The engine calls these forms directly, so their spelling fixes its
+# output bit for bit: b * b and b ** 2 round differently for some b.
+FORMS = {
     BarrierKind.LI: (
         lambda V, b: np.log(b / (b - V)),
         lambda V, b: 1.0 / (b - V),
@@ -65,7 +67,7 @@ _FORMS = {
     ),
     BarrierKind.FII: (
         lambda V, b: b * V / (b - V),
-        lambda V, b: b ** 2 / (b - V) ** 2,
+        lambda V, b: b * b / (b - V) ** 2,
         lambda V, b: 2.0 * b ** 2 / (b - V) ** 3,
     ),
     BarrierKind.FIII: (
@@ -88,7 +90,7 @@ _FORMS = {
 
 def _apply(idx, kind, V, b):
     Va = _check_domain(V, b)
-    out = _FORMS[kind][idx](Va, b)
+    out = FORMS[kind][idx](Va, b)
     if np.isscalar(V) or np.ndim(V) == 0:
         return float(out)
     return out

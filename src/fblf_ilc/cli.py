@@ -6,14 +6,14 @@ Subcommands:
   check-lemmas <csv>     sequence-lemma verification on r,s[,d] columns
 
 Exit codes: 0 ok, 1 config/IO error, 2 constraint breach, 3 property
-violation.
+violation, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,6 +107,9 @@ def parse_config(path) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid value for field "
                               f"'{key}': {raw!r}")
+        if typ is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{path}:{lineno}: field '{key}' must be "
+                              f"finite, got {raw!r}")
     for key, default in _DEFAULTS.items():
         values.setdefault(key, default)
 
@@ -171,7 +174,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
 
 
 def cmd_simulate(args) -> int:
-    jobs = []
+    runs, claimed = [], {}
     for cfg_path in args.config:
         try:
             cfg = parse_config(cfg_path)
@@ -179,12 +182,21 @@ def cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         out_dir = Path(args.out or cfg.out or Path(cfg_path).with_suffix("").name)
-        jobs.append((cfg, out_dir, args.svg or cfg.svg))
-    if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            codes = list(ex.map(lambda j: _simulate_one(*j), jobs))
-    else:
-        codes = [_simulate_one(*j) for j in jobs]
+        key = out_dir.resolve()
+        if key in claimed:
+            print(f"error: {claimed[key]} and {cfg_path} both write to "
+                  f"{out_dir}", file=sys.stderr)
+            return 1
+        claimed[key] = cfg_path
+        runs.append((cfg_path, cfg, out_dir, args.svg or cfg.svg))
+    codes = []
+    for cfg_path, cfg, out_dir, svg in runs:
+        try:
+            codes.append(_simulate_one(cfg, out_dir, svg))
+        except (engine.NonFiniteStateError, OverflowError) as exc:
+            print(f"error: {cfg_path}: numerical failure: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            codes.append(4)
     return max(codes)
 
 
@@ -244,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("config", nargs="+", help="flat key=value config file(s)")
     sim.add_argument("--out", help="output directory")
     sim.add_argument("--svg", action="store_true", help="emit SVG plots")
-    sim.add_argument("--jobs", type=int, default=1,
-                     help="run multiple configs concurrently")
     sim.set_defaults(fn=cmd_simulate)
 
     cmp_ = sub.add_parser("compare-blf", help="barrier ordering/IBP report")

@@ -1,19 +1,17 @@
-"""Learning-signal builders and robust control terms.
+"""Controller configuration and the robust control term.
 
 The control input is u = -theta_hat - s, where s is either the
 discontinuous unit-vector action or its eps-smoothed continuous
-replacement.  The z builders produce the barrier-weighted learning
-signal for each theorem/model combination.
+replacement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .barrier import BarrierDomainError
 
 # below this, z is treated as exactly zero (the set-valued point of the
 # discontinuous action); avoids 0/0 on denormals
@@ -44,64 +42,25 @@ class ControllerConfig:
             raise ValueError("continuous mode requires eps > 0")
 
 
-def _gap(value: float, bound: float, what: str) -> float:
-    if not 0.0 <= value < bound:
-        raise BarrierDomainError(f"{what}={value} outside [0, {bound})")
-    return bound - value
+def robust_term(config: ControllerConfig, m: int):
+    """The robust action s(z, rho) of config's mode, for m inputs.
 
+    disc: the unit-vector action (z/||z||) rho, exactly zero at z = 0;
+    cont: its smoothed replacement mu/(||mu|| + eps) rho with mu = z rho.
+    """
+    if config.mode is Mode.CONT:
+        eps = config.eps
 
-def z_model1_thm1(V: float, LgV: np.ndarray, b_V: float) -> np.ndarray:
-    """z = b^2 / (b - V)^2 * LgV."""
-    gap = _gap(V, b_V, "V")
-    return (b_V ** 2 / gap ** 2) * LgV
+        def robust(z, rho):
+            mu = z * rho
+            return (rho / (math.sqrt(float(mu @ mu)) + eps)) * mu
+        return robust
 
+    zero = np.zeros(m)
 
-def z_model1_thm2(V: float, LgV: np.ndarray, b_V: float) -> np.ndarray:
-    """z = b(b + 1) / (b - V)^2 * LgV."""
-    gap = _gap(V, b_V, "V")
-    return (b_V * (b_V + 1.0) / gap ** 2) * LgV
-
-
-def z_model2_thm1(e: np.ndarray, P: np.ndarray, B: np.ndarray, b_e: float) -> np.ndarray:
-    """z = be2 * (e'Pb)' / (be2 - e'Pe)^2 with be2 = b_e^2."""
-    be2 = b_e ** 2
-    s = float(e @ P @ e)
-    gap = _gap(s, be2, "e'Pe")
-    return (be2 / gap ** 2) * (B.T @ (P @ e))
-
-
-def z_model2_thm2(e: np.ndarray, P: np.ndarray, B: np.ndarray, b_e: float) -> np.ndarray:
-    """z = be2(be2 + 1) * (e'Pb)' / (be2 - e'Pe)^2."""
-    be2 = b_e ** 2
-    s = float(e @ P @ e)
-    gap = _gap(s, be2, "e'Pe")
-    return (be2 * (be2 + 1.0) / gap ** 2) * (B.T @ (P @ e))
-
-
-def robust_disc(z: np.ndarray, rho: float) -> np.ndarray:
-    """Unit-vector robust action: (z/||z||) rho, exactly zero at z = 0."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    nz = float(np.linalg.norm(z))
-    if nz < _Z_ZERO:
-        return np.zeros_like(np.asarray(z, dtype=float))
-    return (rho / nz) * z
-
-
-def robust_cont(z: np.ndarray, rho: float, eps: float) -> np.ndarray:
-    """Smoothed robust action: mu/(||mu|| + eps) * rho with mu = z rho."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    mu = np.asarray(z, dtype=float) * rho
-    return (rho / (float(np.linalg.norm(mu)) + eps)) * mu
-
-
-def compose(theta_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Control input u = -theta_hat - s."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if theta_hat.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {theta_hat.shape} vs {s.shape}")
-    return -theta_hat - s
+    def robust(z, rho):
+        nz = math.sqrt(float(z @ z))
+        if nz < _Z_ZERO:
+            return zero
+        return (rho / nz) * z
+    return robust

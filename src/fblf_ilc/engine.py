@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import controller as ctl
 from . import plant
-from .barrier import BarrierDomainError
-from .controller import ControllerConfig, Mode
+from .barrier import FORMS, BarrierKind
+from .controller import ControllerConfig, robust_term
 from .learner import ParamMemory, TimeGrid
 
 
@@ -82,71 +81,58 @@ class _Breach(Exception):
         self.node = node
 
 
-def _bind(model, config: ControllerConfig, theorem: int):
-    """Model/theorem-specific closures: (value, zvec, blf, rhs, bound)."""
-    if theorem not in (1, 2):
-        raise ValueError("theorem must be 1 or 2")
-    if isinstance(model, plant.ErrorModelI):
-        b = config.bound
-        cert = model.certificate
-        f, g, x_d = model.f, model.g, model.x_d
-        w = model.uncertainty.w
+# theorem -> the barrier kind whose value the monitor uses and whose d1
+# weights the learning signal z = d1(V, bound) * grad
+_THEOREM_KINDS = {1: BarrierKind.FII, 2: BarrierKind.FV}
+# model II under Theorem 1 takes its gain from FI, not from FII: the
+# gain be2/(be2 - V)^2 is FII's d1 divided by be2, so the two agree only
+# at b_e = 1
+_MODEL2_GAIN_KINDS = {1: BarrierKind.FI, 2: BarrierKind.FV}
 
-        def value(e, t):
-            return cert.V(e, t)
+
+def _bind(model, config: ControllerConfig, theorem: int):
+    """Model/theorem-specific closures: (value, zvec, blf, rhs, bound).
+
+    Model I constrains V(e, t) < b_V with gradient LgV; model II
+    constrains e'Pe < b_e^2 with gradient B'Pe and halves the barrier.
+    """
+    if theorem not in _THEOREM_KINDS:
+        raise ValueError("theorem must be 1 or 2")
+    kind = _THEOREM_KINDS[theorem]
+    w = model.uncertainty.w
+    if isinstance(model, plant.ErrorModelI):
+        value, grad = model.certificate.V, model.certificate.LgV
+        bound, scale, gain_kind = config.bound, 1.0, kind
+        f, g = model.f, model.g
 
         def rhs(t, e, u, xd):
             # dw + theta collapses to w evaluated at the actual state
             return f(e, t) + g(e, t) @ (u + w(xd + e, t))
-
-        if theorem == 1:
-            def zvec(e, t, v):
-                return (b * b / (b - v) ** 2) * cert.LgV(e, t)
-
-            def blf(v):
-                return b * v / (b - v)
-        else:
-            c = b * (b + 1.0)
-
-            def zvec(e, t, v):
-                return (c / (b - v) ** 2) * cert.LgV(e, t)
-
-            def blf(v):
-                return (b + 1.0) * v / (b - v)
-
-        return value, zvec, blf, rhs, b
-
-    if isinstance(model, plant.ErrorModelII):
-        be2 = config.bound ** 2
-        P = model.P
-        A, B, x_d = model.A, model.b, model.x_d
-        w = model.uncertainty.w
+    elif isinstance(model, plant.ErrorModelII):
+        P, A, B = model.P, model.A, model.b
         BtP = B.T @ P
+        bound, scale = config.bound ** 2, 0.5
+        gain_kind = _MODEL2_GAIN_KINDS[theorem]
 
         def value(e, t):
             return float(e @ (P @ e))
 
+        def grad(e, t):
+            return BtP @ e
+
         def rhs(t, e, u, xd):
             return A @ e + B @ (u + w(xd + e, t))
+    else:
+        raise TypeError(f"unsupported model type {type(model)!r}")
+    form, d1 = FORMS[kind][0], FORMS[gain_kind][1]
 
-        if theorem == 1:
-            def zvec(e, t, v):
-                return (be2 / (be2 - v) ** 2) * (BtP @ e)
+    def zvec(e, t, v):
+        return d1(v, bound) * grad(e, t)
 
-            def blf(v):
-                return 0.5 * be2 * v / (be2 - v)
-        else:
-            c = be2 * (be2 + 1.0)
+    def blf(v):
+        return scale * form(v, bound)
 
-            def zvec(e, t, v):
-                return (c / (be2 - v) ** 2) * (BtP @ e)
-
-            def blf(v):
-                return 0.5 * (be2 + 1.0) * v / (be2 - v)
-
-        return value, zvec, blf, rhs, be2
-
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    return value, zvec, blf, rhs, bound
 
 
 def _xd_table(model, grid: TimeGrid) -> np.ndarray:
@@ -165,10 +151,9 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     if xd_table is None:
         xd_table = _xd_table(model, grid)
     value, zvec, blf, rhs, bound = _bind(model, config, theorem)
-    cont = config.mode is Mode.CONT
-    eps = config.eps
     gamma = config.gamma
     n, m = model.n, model.m
+    robust = robust_term(config, m)
     N, dt = grid.N, grid.dt
     nodes = grid.nodes
 
@@ -183,18 +168,6 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     )
 
     rho = model.uncertainty.rho
-    zero_m = np.zeros(m)
-    if cont:
-        def robust(z, r):
-            mu = z * r
-            return (r / (math.sqrt(float(mu @ mu)) + eps)) * mu
-    else:
-        def robust(z, r):
-            nz = math.sqrt(float(z @ z))
-            if nz < 1e-300:
-                return zero_m
-            return (r / nz) * z
-
     e = np.zeros(n)  # alignment: x_k(0) = x_d(0)
     half_dt = 0.5 * dt
     try:
@@ -257,7 +230,7 @@ def monitor_L(trace: IterationTrace, model, gamma: float,
     sq = np.sum(diff * diff, axis=1)
     dt = trace.t[1] - trace.t[0] if len(trace.t) > 1 else 0.0
     cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (sq[1:] + sq[:-1]))))
-    trace.L[sel] = np.array([blf(v) for v in trace.V[sel]]) + cum / (2.0 * gamma)
+    trace.L[sel] = blf(trace.V[sel]) + cum / (2.0 * gamma)
     return trace.L
 
 

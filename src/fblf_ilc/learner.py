@@ -5,14 +5,10 @@ applied on every read, so the per-iteration recursion is
 
     theta_star_k(t_i) = sat(theta_star_{k-1}(t_i)) + gamma * z_k(t_i)
     theta_hat_k(t_i)  = sat(theta_star_k(t_i))
-
-Between nodes the saturated values are read back by linear
-interpolation.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,29 +62,3 @@ class ParamMemory:
         new = sat(self.theta_star[i], self.bound) + gamma * z
         self.theta_star[i] = new
         return new, sat(new, self.bound)
-
-    def theta_hat_node(self, i: int) -> np.ndarray:
-        return sat(self.theta_star[i], self.bound)
-
-    def read(self, t: float) -> np.ndarray:
-        """Saturated estimate at time t, linearly interpolated between nodes."""
-        N, T = self.grid.N, self.grid.T
-        if not 0.0 <= t <= T * (1.0 + 1e-12):
-            raise ValueError(f"t={t} outside [0, {T}]")
-        pos = min(t / self.grid.dt, float(N))
-        i = min(int(pos), N - 1)
-        frac = pos - i
-        lo = sat(self.theta_star[i], self.bound)
-        hi = sat(self.theta_star[i + 1], self.bound)
-        return (1.0 - frac) * lo + frac * hi
-
-    def write_csv(self, path):
-        """Dump (node, component, theta_star, theta_hat) rows."""
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["node", "component", "theta_star", "theta_hat"])
-            hat = sat(self.theta_star, self.bound)
-            for i in range(self.grid.N + 1):
-                for j in range(self.m):
-                    wr.writerow([i, j, repr(float(self.theta_star[i, j])),
-                                 repr(float(hat[i, j]))])

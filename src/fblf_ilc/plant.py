@@ -101,20 +101,6 @@ def rho_bound(model, t: float, e: Vec) -> float:
     return float(model.uncertainty.rho(e, t))
 
 
-def rhs_model1(model: ErrorModelI, t: float, e: Vec, u: Vec) -> Vec:
-    """Right-hand side of the nonlinear error dynamics."""
-    if e.shape != (model.n,) or u.shape != (model.m,):
-        raise ValueError(f"dimension mismatch: e {e.shape}, u {u.shape}")
-    return model.f(e, t) + model.g(e, t) @ (u + delta_w(model, t, e) + theta_true(model, t))
-
-
-def rhs_model2(model: ErrorModelII, t: float, e: Vec, u: Vec) -> Vec:
-    """Right-hand side of the linear error dynamics."""
-    if e.shape != (model.n,) or u.shape != (model.m,):
-        raise ValueError(f"dimension mismatch: e {e.shape}, u {u.shape}")
-    return model.A @ e + model.b @ (u + delta_w(model, t, e) + theta_true(model, t))
-
-
 def lyapunov_residual(model: ErrorModelII) -> float:
     """|| A'P + PA + Q ||, which should vanish for a valid pair."""
     return float(np.linalg.norm(model.A.T @ model.P + model.P @ model.A + model.Q))

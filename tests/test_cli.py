@@ -2,6 +2,7 @@ import textwrap
 
 import pytest
 
+from fblf_ilc import engine
 from fblf_ilc.cli import main, parse_config, ConfigError
 
 
@@ -122,9 +123,43 @@ class TestSimulate:
         p1.write_text(body1)
         body2 = p2.read_text() + f"out = {out2}\n"
         p2.write_text(body2)
-        assert main(["simulate", str(p1), str(p2), "--jobs", "2"]) == 0
+        assert main(["simulate", str(p1), str(p2)]) == 0
         assert (out1 / "summary.csv").is_file()
         assert (out2 / "summary.csv").is_file()
+
+    def test_shared_output_dir_exits_1(self, tmp_path, capsys):
+        p1 = write_config(tmp_path, GOOD_CONFIG, "a.cfg")
+        p2 = write_config(tmp_path, GOOD_CONFIG.replace("K = 4", "K = 2"),
+                          "b.cfg")
+        out = tmp_path / "out"
+        assert main(["simulate", str(p1), str(p2), "--out", str(out)]) == 1
+        assert "both write to" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["b_V", "gamma", "T"])
+    def test_nonfinite_value_exits_1(self, tmp_path, capsys, field):
+        path = write_config(tmp_path, GOOD_CONFIG + f"{field} = inf\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert f"'{field}' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflow_exits_4(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",
+                                                          "b_V = 1e300"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_state_exits_4(self, tmp_path, capsys, monkeypatch):
+        def blow_up(*args, **kwargs):
+            raise engine.NonFiniteStateError("non-finite state at t=1.0")
+
+        monkeypatch.setattr(engine, "run", blow_up)
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "non-finite state" in capsys.readouterr().err
 
 
 class TestCompareBlf:

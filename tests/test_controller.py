@@ -3,67 +3,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblf_ilc.barrier import BarrierDomainError
-from fblf_ilc.controller import (ControllerConfig, Mode, compose,
-                                 robust_cont, robust_disc, z_model1_thm1,
-                                 z_model1_thm2, z_model2_thm1, z_model2_thm2)
+from fblf_ilc.controller import ControllerConfig, Mode, robust_term
+from fblf_ilc.engine import _bind
+from fblf_ilc.plant import scalar_model_i, scalar_model_ii
 
 
 def v(*xs):
     return np.array([float(x) for x in xs])
 
 
+def zvec(model, theorem, bound):
+    """The learning signal z(e, t, V) that the engine runs."""
+    cfg = ControllerConfig(mode=Mode.DISC, bound=bound, gamma=1.0,
+                           theta_bar=1.0)
+    return _bind(model, cfg, theorem)[1]
+
+
+def z_model1(theorem, V, LgV, b_V):
+    # the built-in certificate has LgV(e) = e
+    return zvec(scalar_model_i(), theorem, b_V)(LgV, 0.0, V)
+
+
+def z_model2(theorem, e, b_e):
+    # the built-in model has P = 1/2, B = 1
+    return zvec(scalar_model_ii(), theorem, b_e)(e, 0.0, 0.5 * float(e @ e))
+
+
+def robust_disc(z, rho):
+    cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
+    return robust_term(cfg, len(z))(z, rho)
+
+
+def robust_cont(z, rho, eps):
+    cfg = ControllerConfig(mode=Mode.CONT, bound=1.0, gamma=1.0, theta_bar=1.0,
+                           eps=eps)
+    return robust_term(cfg, len(z))(z, rho)
+
+
 class TestZBuilders:
     def test_thm1_zero_lgv(self):
-        assert z_model1_thm1(0.0, v(0), 1.0) == pytest.approx(0.0)
+        assert z_model1(1, 0.0, v(0), 1.0) == pytest.approx(0.0)
 
     def test_thm1_mid(self):
-        assert z_model1_thm1(0.5, v(1), 1.0) == pytest.approx(4.0)
+        assert z_model1(1, 0.5, v(1), 1.0) == pytest.approx(4.0)
 
     def test_thm1_origin_gain(self):
-        assert z_model1_thm1(0.0, v(1), 2.0) == pytest.approx(1.0)
-
-    def test_thm1_domain_error(self):
-        with pytest.raises(BarrierDomainError):
-            z_model1_thm1(1.0, v(1), 1.0)
+        assert z_model1(1, 0.0, v(1), 2.0) == pytest.approx(1.0)
 
     def test_thm2_values(self):
-        assert z_model1_thm2(0.0, v(1), 1.0) == pytest.approx(2.0)
-        assert z_model1_thm2(0.0, v(0), 1.0) == pytest.approx(0.0)
-        assert z_model1_thm2(0.5, v(1), 1.0) == pytest.approx(8.0)
+        assert z_model1(2, 0.0, v(1), 1.0) == pytest.approx(2.0)
+        assert z_model1(2, 0.0, v(0), 1.0) == pytest.approx(0.0)
+        assert z_model1(2, 0.5, v(1), 1.0) == pytest.approx(8.0)
 
     def test_model2_zero_error(self):
-        P = np.array([[0.5]])
-        B = np.array([[1.0]])
-        assert z_model2_thm1(v(0), P, B, 2.0) == pytest.approx(0.0)
+        assert z_model2(1, v(0), 2.0) == pytest.approx(0.0)
 
     def test_model2_scalar_value(self):
         # be2 * e P b / (be2 - e P e)^2 = 4*0.5/(4-0.5)^2
-        P = np.array([[0.5]])
-        B = np.array([[1.0]])
-        assert z_model2_thm1(v(1), P, B, 2.0) == pytest.approx(2.0 / 12.25)
+        assert z_model2(1, v(1), 2.0) == pytest.approx(2.0 / 12.25)
 
     def test_model2_odd_in_e(self):
-        P = np.array([[0.5]])
-        B = np.array([[1.0]])
-        plus = z_model2_thm1(v(1), P, B, 2.0)
-        minus = z_model2_thm1(v(-1), P, B, 2.0)
+        plus = z_model2(1, v(1), 2.0)
+        minus = z_model2(1, v(-1), 2.0)
         np.testing.assert_allclose(minus, -plus)
 
-    def test_model2_domain_error(self):
-        P = np.array([[1.0]])
-        B = np.array([[1.0]])
-        with pytest.raises(BarrierDomainError):
-            z_model2_thm1(v(2), P, B, 1.0)
-        with pytest.raises(BarrierDomainError):
-            z_model2_thm2(v(2), P, B, 1.0)
-
     def test_thm2_model2_gain(self):
-        P = np.array([[0.5]])
-        B = np.array([[1.0]])
         be2 = 4.0
         expected = be2 * (be2 + 1.0) * 0.5 / (be2 - 0.5) ** 2
-        assert z_model2_thm2(v(1), P, B, 2.0) == pytest.approx(expected)
+        assert z_model2(2, v(1), 2.0) == pytest.approx(expected)
 
 
 class TestRobustDisc:
@@ -129,21 +136,6 @@ class TestRobustCont:
             dw = dw / norm * rho
         s = robust_cont(z, rho, eps)
         assert float(z @ (dw - s)) <= eps + 1e-9
-
-
-class TestCompose:
-    def test_scalar(self):
-        assert compose(v(0.5), v(0.2)) == pytest.approx(-0.7)
-
-    def test_zero(self):
-        assert compose(v(0), v(0)) == pytest.approx(0.0)
-
-    def test_vector(self):
-        np.testing.assert_allclose(compose(v(1, -1), v(0, 0)), v(-1, 1))
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(v(1), v(1, 2))
 
 
 class TestConfig:

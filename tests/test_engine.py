@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fblf_ilc.controller import ControllerConfig, Mode
-from fblf_ilc.engine import (check_delta_L, monitor_L, run, run_iteration,
-                             write_summary_csv, write_trace_csv)
+from fblf_ilc.controller import ControllerConfig, Mode, robust_term
+from fblf_ilc.engine import (_bind, check_delta_L, monitor_L, run,
+                             run_iteration, write_summary_csv, write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, UncertaintySpec, scalar_model_i,
                             scalar_model_ii)
@@ -63,6 +63,18 @@ class TestRunIteration:
         assert tr.breach
         assert tr.breach_node is not None
         assert np.all(np.isnan(tr.V[tr.breach_node + 1:]))
+
+    def test_input_is_minus_estimate_minus_robust(self):
+        # u = -theta_hat - s(z, rho) at every node, bit for bit
+        model, cfg = scalar_model_i(), cont_cfg()
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        tr = run_iteration(model, cfg, memory, theorem=2)
+        zvec = _bind(model, cfg, 2)[1]
+        robust = robust_term(cfg, 1)
+        for i, t in enumerate(tr.t):
+            s = robust(zvec(tr.e[i], t, tr.V[i]),
+                       model.uncertainty.rho(tr.e[i], t))
+            np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()

@@ -84,54 +84,3 @@ class TestUpdate:
             m.update_node(i, np.array([0.0]), gamma=1.0)
         after = sat(m.theta_star, m.bound)
         np.testing.assert_allclose(after, before)
-
-
-class TestRead:
-    def test_node_identity(self):
-        m = mem()
-        m.theta_star[2] = 0.7
-        assert m.read(0.5) == pytest.approx(0.7)
-
-    def test_midpoint(self):
-        m = mem(N=2, T=1.0)
-        m.theta_star[0] = 0.0
-        m.theta_star[1] = 1.0
-        assert m.read(0.25) == pytest.approx(0.5)
-
-    def test_all_zero(self):
-        m = mem()
-        for t in np.linspace(0, 1, 23):
-            assert m.read(t) == pytest.approx(0.0)
-
-    def test_out_of_range(self):
-        m = mem()
-        with pytest.raises(ValueError):
-            m.read(1.5)
-        with pytest.raises(ValueError):
-            m.read(-0.1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        stars=st.lists(st.floats(-50, 50, allow_nan=False),
-                       min_size=5, max_size=5),
-        t=st.floats(0.0, 1.0),
-    )
-    def test_read_always_bounded(self, stars, t):
-        m = mem()
-        m.theta_star[:, 0] = stars
-        assert abs(float(m.read(t)[0])) <= m.bound + 1e-12
-
-
-class TestCsv:
-    def test_roundtrip_columns(self, tmp_path):
-        m = mem()
-        m.theta_star[1] = 2.5
-        path = tmp_path / "memory.csv"
-        m.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "node,component,theta_star,theta_hat"
-        assert len(lines) == 1 + 5
-        # node 1 stores the raw value, reads back saturated
-        cells = lines[2].split(",")
-        assert float(cells[2]) == 2.5
-        assert float(cells[3]) == 1.0

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fblf_ilc.controller import ControllerConfig, Mode
+from fblf_ilc.engine import _bind
 from fblf_ilc.plant import (check_certificate, check_uncertainty_bound,
                             delta_w, lyapunov_residual, rho_bound,
-                            rhs_model1, rhs_model2, scalar_model_i,
-                            scalar_model_ii, theta_true)
+                            scalar_model_i, scalar_model_ii, theta_true)
 
 PI = math.pi
 
@@ -25,33 +26,39 @@ def v(x):
     return np.array([float(x)])
 
 
+def rhs(model, t, e, u):
+    """The error dynamics the engine integrates, at the desired state x_d(t)."""
+    cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
+    return _bind(model, cfg, 1)[3](t, e, u, model.x_d(t))
+
+
 class TestRhsModel1:
     def test_equilibrium(self, m1):
-        assert rhs_model1(m1, 0.0, v(0), v(0)) == pytest.approx(0.0)
+        assert rhs(m1, 0.0, v(0), v(0)) == pytest.approx(0.0)
 
     def test_theta_cancels_input(self, m1):
         # theta(pi/2) = 0.5 exactly offsets u = -0.5
-        out = rhs_model1(m1, PI / 2, v(0), v(-0.5))
+        out = rhs(m1, PI / 2, v(0), v(-0.5))
         assert out == pytest.approx(0.0, abs=1e-15)
 
     def test_nonzero_error(self, m1):
-        out = rhs_model1(m1, 0.0, v(1), v(0))
+        out = rhs(m1, 0.0, v(1), v(0))
         assert out == pytest.approx(-0.5)
 
     def test_dimension_mismatch(self, m1):
         with pytest.raises(ValueError):
-            rhs_model1(m1, 0.0, np.zeros(2), v(0))
+            rhs(m1, 0.0, np.zeros(2), v(0))
 
 
 class TestRhsModel2:
     def test_equilibrium(self, m2):
-        assert rhs_model2(m2, 0.0, v(0), v(0)) == pytest.approx(0.0)
+        assert rhs(m2, 0.0, v(0), v(0)) == pytest.approx(0.0)
 
     def test_nonzero_error(self, m2):
-        assert rhs_model2(m2, 0.0, v(2), v(0)) == pytest.approx(-1.0)
+        assert rhs(m2, 0.0, v(2), v(0)) == pytest.approx(-1.0)
 
     def test_theta_drives(self, m2):
-        assert rhs_model2(m2, PI / 2, v(0), v(0)) == pytest.approx(0.5)
+        assert rhs(m2, PI / 2, v(0), v(0)) == pytest.approx(0.5)
 
 
 class TestUncertainty:
