@@ -148,6 +148,15 @@ def parse_config(path) -> RunConfig:
     )
 
 
+def _file_in_the_way(out_dir: Path) -> Path | None:
+    """The nearest existing one of out_dir and its parents, if it is not
+    a directory (so out_dir cannot be created)."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            return None if path.is_dir() else path
+    return None
+
+
 def _simulate_one(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     factory = BUILTIN_MODELS[cfg.model]
     model = factory(cfg.T) if cfg.T is not None else factory()
@@ -188,6 +197,11 @@ def cmd_simulate(args) -> int:
                   f"{out_dir}", file=sys.stderr)
             return 1
         claimed[key] = cfg_path
+        blocker = _file_in_the_way(out_dir)
+        if blocker is not None:
+            print(f"error: cannot write to {out_dir}: {blocker} is not a "
+                  f"directory", file=sys.stderr)
+            return 1
         runs.append((cfg_path, cfg, out_dir, args.svg or cfg.svg))
     codes = []
     for cfg_path, cfg, out_dir, svg in runs:
@@ -197,18 +211,37 @@ def cmd_simulate(args) -> int:
             print(f"error: {cfg_path}: numerical failure: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             codes.append(4)
+        except OSError as exc:
+            print(f"error: {cfg_path}: cannot write output: {exc}",
+                  file=sys.stderr)
+            codes.append(1)
     return max(codes)
 
 
 def cmd_compare_blf(args) -> int:
     for b in args.bounds:
-        if not b > 0:
-            print(f"error: bounds must be positive, got {b}", file=sys.stderr)
+        if not (b > 0 and math.isfinite(b)):
+            print(f"error: bounds must be positive and finite, got {b}",
+                  file=sys.stderr)
             return 1
-    report = analysis.blf_report(args.bounds)
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out_dir / "blf_report.csv")
+    blocker = _file_in_the_way(out_dir)
+    if blocker is not None:
+        print(f"error: cannot write to {out_dir}: {blocker} is not a "
+              f"directory", file=sys.stderr)
+        return 1
+    try:
+        report = analysis.blf_report(args.bounds)
+    except OverflowError as exc:
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report.to_csv(out_dir / "blf_report.csv")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     print(report.to_text(), end="")
     return 0 if report.all_hold else 3
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
 
 # below this, z is treated as exactly zero (the set-valued point of the
 # discontinuous action); avoids 0/0 on denormals
@@ -42,24 +41,25 @@ class ControllerConfig:
             raise ValueError("continuous mode requires eps > 0")
 
 
-def robust_term(config: ControllerConfig, m: int):
-    """The robust action s(z, rho) of config's mode, for m inputs.
+def robust_term(config: ControllerConfig, zero, dot):
+    """The robust action s(z, rho) of config's mode.
 
     disc: the unit-vector action (z/||z||) rho, exactly zero at z = 0;
     cont: its smoothed replacement mu/(||mu|| + eps) rho with mu = z rho.
+    zero (the action at z = 0) and dot (the inner product, as a float)
+    fix the shape z takes: np.zeros(m) and float(a @ b) for m inputs,
+    0.0 and a float product when the engine runs an m = 1 model.
     """
     if config.mode is Mode.CONT:
         eps = config.eps
 
         def robust(z, rho):
             mu = z * rho
-            return (rho / (math.sqrt(float(mu @ mu)) + eps)) * mu
+            return (rho / (math.sqrt(dot(mu, mu)) + eps)) * mu
         return robust
 
-    zero = np.zeros(m)
-
     def robust(z, rho):
-        nz = math.sqrt(float(z @ z))
+        nz = math.sqrt(dot(z, z))
         if nz < _Z_ZERO:
             return zero
         return (rho / nz) * z

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import plant
 from .barrier import FORMS, BarrierKind
 from .controller import ControllerConfig, robust_term
-from .learner import ParamMemory, TimeGrid
+from .learner import ParamMemory, TimeGrid, sat
 
 
 class NonFiniteStateError(RuntimeError):
@@ -81,6 +83,72 @@ class _Breach(Exception):
         self.node = node
 
 
+def _identity(a):
+    return a
+
+
+def _wrap(x: float) -> np.ndarray:
+    # faster than np.array([x])
+    a = np.empty(1)
+    a[0] = x
+    return a
+
+
+def _item(a) -> float:
+    # a model callable may return a one-element array or a plain number
+    return a.item() if isinstance(a, np.ndarray) else float(a)
+
+
+class _Shape(NamedTuple):
+    """The primitives through which one closed loop serves both shapes."""
+    wrap: Callable     # loop state -> the array a model callable receives
+    unwrap: Callable   # a model's vector or matrix -> the loop's form
+    dot: Callable      # inner product, as a float
+    matvec: Callable   # matrix (in the loop's form) times vector
+    clamp: Callable    # component-wise clamp to [-b, b]
+    row: Callable      # row i of a 2-D array, in the loop's form
+    zeros: Callable    # zero vector of a given length
+
+
+# n = m = 1: the loop runs on Python floats.  numpy's one-term matmul and
+# dot add their product to 0.0, which turns -0.0 into 0.0, so the float
+# dot and matvec do too; every other operation is the same IEEE operation
+# on a float as on a one-element array.
+_FLOAT = _Shape(
+    wrap=_wrap,
+    unwrap=_item,
+    dot=lambda a, b: 0.0 + a * b,
+    matvec=lambda M, x: 0.0 + M * x,
+    clamp=lambda v, b: min(max(v, -b), b),
+    row=lambda a, i: a.item(i, 0),
+    zeros=lambda n: 0.0,
+)
+_ARRAY = _Shape(
+    wrap=_identity,
+    unwrap=_identity,
+    dot=lambda a, b: float(a @ b),
+    matvec=operator.matmul,
+    clamp=sat,
+    row=operator.getitem,
+    zeros=np.zeros,
+)
+
+
+class _Loop(NamedTuple):
+    """A model/theorem pair bound for the closed loop.
+
+    The state-dependent closures take the stage state twice: e in the
+    loop's shape, x as the array the model's callables receive (the same
+    object as e in the array shape).
+    """
+    shape: _Shape
+    value: Callable    # (x, e, t) -> V, the constrained quantity
+    zvec: Callable     # (x, e, t, V) -> z, the learning signal
+    rhs: Callable      # (x, e, t, u, x_d) -> de/dt
+    blf: Callable      # V -> the monitor's barrier
+    bound: float
+
+
 # theorem -> the barrier kind whose value the monitor uses and whose d1
 # weights the learning signal z = d1(V, bound) * grad
 _THEOREM_KINDS = {1: BarrierKind.FII, 2: BarrierKind.FV}
@@ -90,55 +158,71 @@ _THEOREM_KINDS = {1: BarrierKind.FII, 2: BarrierKind.FV}
 _MODEL2_GAIN_KINDS = {1: BarrierKind.FI, 2: BarrierKind.FV}
 
 
-def _bind(model, config: ControllerConfig, theorem: int):
-    """Model/theorem-specific closures: (value, zvec, blf, rhs, bound).
+def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
+    """Model/theorem-specific closures, in the shape the model's size picks.
 
     Model I constrains V(e, t) < b_V with gradient LgV; model II
     constrains e'Pe < b_e^2 with gradient B'Pe and halves the barrier.
+    Models with n = m = 1 run on Python floats, others on numpy arrays.
     """
     if theorem not in _THEOREM_KINDS:
         raise ValueError("theorem must be 1 or 2")
+    if not isinstance(model, (plant.ErrorModelI, plant.ErrorModelII)):
+        raise TypeError(f"unsupported model type {type(model)!r}")
+    shape = _FLOAT if model.n == model.m == 1 else _ARRAY
+    wrap, unwrap, matvec = shape.wrap, shape.unwrap, shape.matvec
     kind = _THEOREM_KINDS[theorem]
     w = model.uncertainty.w
     if isinstance(model, plant.ErrorModelI):
-        value, grad = model.certificate.V, model.certificate.LgV
+        V, LgV = model.certificate.V, model.certificate.LgV
         bound, scale, gain_kind = config.bound, 1.0, kind
         f, g = model.f, model.g
 
-        def rhs(t, e, u, xd):
+        def value(x, e, t):
+            return V(x, t)
+
+        def grad(x, e, t):
+            return unwrap(LgV(x, t))
+
+        def rhs(x, e, t, u, xd):
             # dw + theta collapses to w evaluated at the actual state
-            return f(e, t) + g(e, t) @ (u + w(xd + e, t))
-    elif isinstance(model, plant.ErrorModelII):
-        P, A, B = model.P, model.A, model.b
-        BtP = B.T @ P
+            return unwrap(f(x, t)) + matvec(unwrap(g(x, t)),
+                                            u + unwrap(w(wrap(xd + e), t)))
+    else:
+        P, A, B = (unwrap(M) for M in (model.P, model.A, model.b))
+        BtP = unwrap(model.b.T @ model.P)
         bound, scale = config.bound ** 2, 0.5
         gain_kind = _MODEL2_GAIN_KINDS[theorem]
+        dot = shape.dot
 
-        def value(e, t):
-            return float(e @ (P @ e))
+        def value(x, e, t):
+            return dot(e, matvec(P, e))
 
-        def grad(e, t):
-            return BtP @ e
+        def grad(x, e, t):
+            return matvec(BtP, e)
 
-        def rhs(t, e, u, xd):
-            return A @ e + B @ (u + w(xd + e, t))
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
+        def rhs(x, e, t, u, xd):
+            return matvec(A, e) + matvec(B, u + unwrap(w(wrap(xd + e), t)))
     form, d1 = FORMS[kind][0], FORMS[gain_kind][1]
 
-    def zvec(e, t, v):
-        return d1(v, bound) * grad(e, t)
+    def zvec(x, e, t, v):
+        return d1(v, bound) * grad(x, e, t)
 
     def blf(v):
         return scale * form(v, bound)
 
-    return value, zvec, blf, rhs, bound
+    return _Loop(shape, value, zvec, rhs, blf, bound)
 
 
 def _xd_table(model, grid: TimeGrid) -> np.ndarray:
     """Desired trajectory sampled at nodes and interval midpoints."""
     half = np.linspace(0.0, grid.T, 2 * grid.N + 1)
     return np.stack([np.asarray(model.x_d(t), dtype=float) for t in half])
+
+
+def _theta_table(model, nodes: np.ndarray) -> np.ndarray:
+    """The learnable uncertainty theta(t) at the nodes, for the monitor."""
+    return np.stack([plant.theta_true(model, t) for t in nodes])
 
 
 def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
@@ -150,12 +234,15 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
         raise ValueError("memory grid horizon does not match model horizon")
     if xd_table is None:
         xd_table = _xd_table(model, grid)
-    value, zvec, blf, rhs, bound = _bind(model, config, theorem)
+    shape, value, zvec, rhs, _, bound = _bind(model, config, theorem)
+    wrap, clamp, row = shape.wrap, shape.clamp, shape.row
     gamma = config.gamma
     n, m = model.n, model.m
-    robust = robust_term(config, m)
+    robust = robust_term(config, shape.zeros(m), shape.dot)
+    update = memory.update_node
     N, dt = grid.N, grid.dt
     nodes = grid.nodes
+    times = nodes.tolist()
 
     tr = IterationTrace(
         k=k,
@@ -168,19 +255,32 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     )
 
     rho = model.uncertainty.rho
-    e = np.zeros(n)  # alignment: x_k(0) = x_d(0)
+
+    def deriv(ts, es, xds):
+        # node i's estimate theta_hat is held across its interval
+        x = wrap(es)
+        vs = value(x, es, ts)
+        if not vs < bound:
+            if not math.isfinite(vs):
+                raise NonFiniteStateError(f"non-finite state at t={ts}")
+            raise _Breach(i)
+        s = robust(zvec(x, es, ts, vs), rho(x, ts))
+        return rhs(x, es, ts, -theta_hat - s, xds)
+
+    e = shape.zeros(n)  # alignment: x_k(0) = x_d(0)
     half_dt = 0.5 * dt
     try:
         for i in range(N + 1):
-            t = nodes[i]
-            v = value(e, t)
+            t = times[i]
+            x = wrap(e)
+            v = value(x, e, t)
             if not v < bound:
                 if not math.isfinite(v):
                     raise NonFiniteStateError(f"non-finite state at t={t}")
                 raise _Breach(i)
-            z = zvec(e, t, v)
-            _, theta_hat = memory.update_node(i, z, gamma)
-            u = -theta_hat - robust(z, rho(e, t))
+            z = zvec(x, e, t, v)
+            _, theta_hat = update(i, z, gamma, clamp, row)
+            u = -theta_hat - robust(z, rho(x, t))
             tr.e[i] = e
             tr.u[i] = u
             tr.V[i] = v
@@ -188,18 +288,9 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             if i == N:
                 break
 
-            def deriv(ts, es, xd):
-                vs = value(es, ts)
-                if not vs < bound:
-                    if not math.isfinite(vs):
-                        raise NonFiniteStateError(f"non-finite state at t={ts}")
-                    raise _Breach(i)
-                s = robust(zvec(es, ts, vs), rho(es, ts))
-                return rhs(ts, es, -theta_hat - s, xd)
-
-            xd0 = xd_table[2 * i]
-            xdh = xd_table[2 * i + 1]
-            xd1 = xd_table[2 * i + 2]
+            xd0 = row(xd_table, 2 * i)
+            xdh = row(xd_table, 2 * i + 1)
+            xd1 = row(xd_table, 2 * i + 2)
             th = t + half_dt
             k1 = deriv(t, e, xd0)
             k2 = deriv(th, e + half_dt * k1, xdh)
@@ -213,20 +304,22 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
 
 def monitor_L(trace: IterationTrace, model, gamma: float,
-              config: ControllerConfig, theorem: int = 1) -> np.ndarray:
+              config: ControllerConfig, theorem: int = 1,
+              theta_table: np.ndarray | None = None) -> np.ndarray:
     """Per-node Lyapunov-Krasovskii monitor.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
     with theta the true learnable uncertainty (simulation-only) and the
     integral taken by the trapezoid rule on the grid.  NaN past a breach.
+    theta_table, theta at every node, is computed when not given.
     """
-    _, _, blf, _, _ = _bind(model, config, theorem)
+    blf = _bind(model, config, theorem).blf
     sel = trace.valid
-    t = trace.t[sel]
-    if len(t) == 0:
+    if not sel.stop:
         return trace.L
-    theta = np.stack([plant.theta_true(model, ti) for ti in t])
-    diff = theta - trace.theta_hat[sel]
+    if theta_table is None:
+        theta_table = _theta_table(model, trace.t)
+    diff = theta_table[sel] - trace.theta_hat[sel]
     sq = np.sum(diff * diff, axis=1)
     dt = trace.t[1] - trace.t[0] if len(trace.t) > 1 else 0.0
     cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (sq[1:] + sq[:-1]))))
@@ -244,12 +337,14 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
     result = RunResult(model=model, config=config, theorem=theorem,
                        grid=grid, memory=memory)
     xd_table = _xd_table(model, grid)
+    theta_table = _theta_table(model, grid.nodes)
     prev_LT = None
     for k in range(K):
         t0 = time.perf_counter()
         tr = run_iteration(model, config, memory, theorem=theorem, k=k,
                            xd_table=xd_table)
-        monitor_L(tr, model, config.gamma, config, theorem=theorem)
+        monitor_L(tr, model, config.gamma, config, theorem=theorem,
+                  theta_table=theta_table)
         wall = time.perf_counter() - t0
         sel = tr.valid
         sup_e = float(np.max(np.linalg.norm(tr.e[sel], axis=1))) if sel.stop else float("nan")
@@ -282,7 +377,7 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     (theorem-2) scheme.
     """
     model, config, theorem = result.model, result.config, result.theorem
-    _, _, blf, _, _ = _bind(model, config, theorem)
+    blf = _bind(model, config, theorem).blf
     residual = (config.eps or 0.0) * result.grid.T if theorem == 2 else 0.0
     verdicts = []
     for k in range(1, len(result.traces)):

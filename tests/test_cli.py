@@ -152,6 +152,19 @@ class TestSimulate:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_is_a_file_exits_1_before_running(self, tmp_path, capsys,
+                                                  monkeypatch, out):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated with an unusable output path")
+
+        monkeypatch.setattr(engine, "run", must_not_run)
+        (tmp_path / "file").write_text("keep")
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["simulate", str(path), "--out", str(tmp_path / out)]) == 1
+        assert "is not a directory" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "keep"
+
     def test_nonfinite_state_exits_4(self, tmp_path, capsys, monkeypatch):
         def blow_up(*args, **kwargs):
             raise engine.NonFiniteStateError("non-finite state at t=1.0")
@@ -170,6 +183,22 @@ class TestCompareBlf:
 
     def test_rejects_nonpositive(self, tmp_path, capsys):
         assert main(["compare-blf", "-1.0", "--out", str(tmp_path)]) == 1
+
+    def test_rejects_infinite(self, tmp_path, capsys):
+        assert main(["compare-blf", "inf", "--out", str(tmp_path)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "blf_report.csv").exists()
+
+    def test_out_is_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("keep")
+        assert main(["compare-blf", "1.0", "--out",
+                     str(tmp_path / "file")]) == 1
+        assert "is not a directory" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "keep"
+
+    def test_overflow_exits_4(self, tmp_path, capsys):
+        assert main(["compare-blf", "1e300", "--out", str(tmp_path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestCheckLemmas:

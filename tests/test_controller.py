@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import _bind
+from fblf_ilc.engine import _ARRAY, _bind
 from fblf_ilc.plant import scalar_model_i, scalar_model_ii
 
 
@@ -13,31 +13,32 @@ def v(*xs):
 
 
 def zvec(model, theorem, bound):
-    """The learning signal z(e, t, V) that the engine runs."""
+    """The learning signal z(e, t, V) that the engine runs, at t = 0."""
     cfg = ControllerConfig(mode=Mode.DISC, bound=bound, gamma=1.0,
                            theta_bar=1.0)
-    return _bind(model, cfg, theorem)[1]
+    loop = _bind(model, cfg, theorem)
+    return lambda e, V: loop.zvec(e, loop.shape.unwrap(e), 0.0, V)
 
 
 def z_model1(theorem, V, LgV, b_V):
     # the built-in certificate has LgV(e) = e
-    return zvec(scalar_model_i(), theorem, b_V)(LgV, 0.0, V)
+    return zvec(scalar_model_i(), theorem, b_V)(LgV, V)
 
 
 def z_model2(theorem, e, b_e):
     # the built-in model has P = 1/2, B = 1
-    return zvec(scalar_model_ii(), theorem, b_e)(e, 0.0, 0.5 * float(e @ e))
+    return zvec(scalar_model_ii(), theorem, b_e)(e, 0.5 * float(e @ e))
 
 
 def robust_disc(z, rho):
     cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
-    return robust_term(cfg, len(z))(z, rho)
+    return robust_term(cfg, np.zeros(len(z)), _ARRAY.dot)(z, rho)
 
 
 def robust_cont(z, rho, eps):
     cfg = ControllerConfig(mode=Mode.CONT, bound=1.0, gamma=1.0, theta_bar=1.0,
                            eps=eps)
-    return robust_term(cfg, len(z))(z, rho)
+    return robust_term(cfg, np.zeros(len(z)), _ARRAY.dot)(z, rho)
 
 
 class TestZBuilders:

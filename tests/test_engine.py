@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import (_bind, check_delta_L, monitor_L, run,
-                             run_iteration, write_summary_csv, write_trace_csv)
+from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, check_delta_L, monitor_L,
+                             run, run_iteration, write_summary_csv,
+                             write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
-from fblf_ilc.plant import (ErrorModelI, UncertaintySpec, scalar_model_i,
-                            scalar_model_ii)
+from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
+                            scalar_model_i, scalar_model_ii)
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,11 +71,12 @@ class TestRunIteration:
         model, cfg = scalar_model_i(), cont_cfg()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
         tr = run_iteration(model, cfg, memory, theorem=2)
-        zvec = _bind(model, cfg, 2)[1]
-        robust = robust_term(cfg, 1)
+        loop = _bind(model, cfg, 2)
+        robust = robust_term(cfg, loop.shape.zeros(1), loop.shape.dot)
         for i, t in enumerate(tr.t):
-            s = robust(zvec(tr.e[i], t, tr.V[i]),
-                       model.uncertainty.rho(tr.e[i], t))
+            x = tr.e[i]
+            s = robust(loop.zvec(x, loop.shape.unwrap(x), t, tr.V[i]),
+                       model.uncertainty.rho(x, t))
             np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
     def test_grid_mismatch_rejected(self):
@@ -193,3 +196,115 @@ class TestCsvOutput:
         summary_lines = sp.read_text().strip().splitlines()
         assert summary_lines[0] == "k,sup_e,sup_V,L_T,delta_L,violations"
         assert len(summary_lines) == 1 + 2
+
+
+def lift(model):
+    """A 2-state lift of a built-in: the second state is decoupled and
+    zero, g/b = [[1], [0]], and the uncertainty and the gradient read the
+    first state only.  It runs through the engine's array form."""
+    col = np.array([[1.0], [0.0]])
+    unc = UncertaintySpec(w=lambda x, t: model.uncertainty.w(x[:1], t),
+                          rho=lambda e, t: model.uncertainty.rho(e[:1], t))
+
+    def x_d(t):
+        return np.array([model.x_d(t)[0], 0.0])
+
+    if isinstance(model, ErrorModelI):
+        cert = dataclasses.replace(
+            model.certificate,
+            LgV=lambda e, t: model.certificate.LgV(e[:1], t))
+        return dataclasses.replace(model, n=2, g=lambda e, t: col, x_d=x_d,
+                                   uncertainty=unc, certificate=cert)
+    eye = np.eye(2)
+    return ErrorModelII(A=model.A[0, 0] * eye, b=col, P=model.P[0, 0] * eye,
+                        Q=model.Q[0, 0] * eye, x_d=x_d, uncertainty=unc,
+                        T=model.T)
+
+
+# (model, bound, N): a bound that holds, a bound where b * b and b ** 2
+# (model I) or Theorem 1's gain and monitor (model II) differ, and a
+# coarse grid whose iterations breach inside an integrator stage
+LIFT_CASES = [("I", 0.5, 200), ("I", 0.01985, 200), ("I", 0.05, 10),
+              ("II", 1.0, 200), ("II", 2.0, 200), ("II", 0.2, 20)]
+FACTORIES = {"I": scalar_model_i, "II": scalar_model_ii}
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("theorem", [1, 2])
+    @pytest.mark.parametrize("mode", [Mode.DISC, Mode.CONT])
+    @pytest.mark.parametrize("name, bound, N", LIFT_CASES)
+    def test_lift_matches_scalar_run(self, name, bound, N, mode, theorem):
+        cfg = ControllerConfig(mode=mode, bound=bound, gamma=2.0,
+                               theta_bar=1.0,
+                               eps=1e-2 if mode is Mode.CONT else None)
+        model = FACTORIES[name]()
+        scalar = run(model, cfg, K=3, N=N, theorem=theorem)
+        lifted = run(lift(model), cfg, K=3, N=N, theorem=theorem)
+        assert _bind(model, cfg, theorem).shape is _FLOAT
+        assert _bind(lift(model), cfg, theorem).shape is _ARRAY
+        for a, b in zip(scalar.traces, lifted.traces):
+            assert (a.breach, a.breach_node) == (b.breach, b.breach_node)
+            assert np.array_equal(a.e, b.e[:, :1], equal_nan=True)
+            assert np.all(b.e[a.valid, 1] == 0.0)
+            for f in ("u", "V", "theta_hat", "L"):
+                assert np.array_equal(getattr(a, f), getattr(b, f),
+                                      equal_nan=True), f
+        # every summary field but the wall time
+        assert np.array_equal(
+            [dataclasses.astuple(s)[:-1] for s in scalar.summaries],
+            [dataclasses.astuple(s)[:-1] for s in lifted.summaries],
+            equal_nan=True)
+        assert np.array_equal(scalar.memory.theta_star,
+                              lifted.memory.theta_star)
+
+    @pytest.mark.parametrize("name, bound, N", [c for c in LIFT_CASES
+                                                if c[2] < 200])
+    def test_breach_leaves_later_nodes_of_memory_untouched(self, name, bound,
+                                                           N):
+        cfg = disc_cfg(bound=bound)
+        for model in (FACTORIES[name](), lift(FACTORIES[name]())):
+            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
+            memory.theta_star[:] = 0.25
+            before = memory.theta_star.copy()
+            tr = run_iteration(model, cfg, memory)
+            assert tr.breach and 0 < tr.breach_node < N
+            # the breach is inside the interval after breach_node, whose
+            # node was learned before its stages ran
+            assert np.isfinite(tr.V[tr.breach_node])
+            assert np.array_equal(memory.theta_star[tr.breach_node + 1:],
+                                  before[tr.breach_node + 1:])
+            assert not np.array_equal(memory.theta_star[:tr.breach_node + 1],
+                                      before[:tr.breach_node + 1])
+
+
+SIGNED = [0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-200, -1e-200, 5e-324, 1e300]
+
+
+def same_bits(a, b):
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+class TestFloatShape:
+    """The float primitives give numpy's one-element results bit for bit,
+    signed zeros and underflow included."""
+
+    def test_dot_and_matvec(self):
+        for a in SIGNED:
+            for b in SIGNED:
+                with np.errstate(over="ignore"):
+                    dot = _ARRAY.dot(np.array([a]), np.array([b]))
+                    matvec = (np.array([[a]]) @ np.array([b])).item()
+                assert same_bits(_FLOAT.dot(a, b), dot), (a, b)
+                assert same_bits(_FLOAT.matvec(a, b), matvec), (a, b)
+
+    def test_clamp(self):
+        for v in SIGNED + [2.0, -2.0, math.nan]:
+            assert same_bits(_FLOAT.clamp(v, 1.0),
+                             _ARRAY.clamp(np.array([v]), 1.0).item()), v
+
+    def test_wrap_and_unwrap(self):
+        x = _FLOAT.wrap(-0.0)
+        assert x.shape == (1,) and same_bits(x, np.array([-0.0]))
+        assert _FLOAT.unwrap(np.array([[2.5]])) == 2.5
+        assert _FLOAT.unwrap(np.float64(-1.5)) == -1.5
+        assert type(_FLOAT.unwrap(np.array([1.0]))) is float

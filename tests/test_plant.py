@@ -29,7 +29,9 @@ def v(x):
 def rhs(model, t, e, u):
     """The error dynamics the engine integrates, at the desired state x_d(t)."""
     cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
-    return _bind(model, cfg, 1)[3](t, e, u, model.x_d(t))
+    loop = _bind(model, cfg, 1)
+    unwrap = loop.shape.unwrap
+    return loop.rhs(e, unwrap(e), t, unwrap(u), unwrap(model.x_d(t)))
 
 
 class TestRhsModel1:
