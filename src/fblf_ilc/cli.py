@@ -157,13 +157,17 @@ def _file_in_the_way(out_dir: Path) -> Path | None:
     return None
 
 
-def _simulate_one(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
+def _run_one(cfg: RunConfig) -> engine.RunResult:
     factory = BUILTIN_MODELS[cfg.model]
     model = factory(cfg.T) if cfg.T is not None else factory()
     ctl_cfg = ControllerConfig(mode=Mode(cfg.mode), bound=cfg.bound,
                                gamma=cfg.gamma, theta_bar=cfg.theta_bar,
                                eps=cfg.eps)
-    result = engine.run(model, ctl_cfg, K=cfg.K, N=cfg.N, theorem=cfg.theorem)
+    return engine.run(model, ctl_cfg, K=cfg.K, N=cfg.N, theorem=cfg.theorem)
+
+
+def _write_outputs(result: engine.RunResult, cfg: RunConfig, out_dir: Path,
+                   svg: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_trace_csv(result, out_dir / "trace.csv")
     engine.write_summary_csv(result, out_dir / "summary.csv")
@@ -179,7 +183,6 @@ def _simulate_one(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
                           title="constrained quantity per iteration",
                           xlabel="iteration k", ylabel="sup V",
                           hline=cap)
-    return 2 if result.any_breach else 0
 
 
 def cmd_simulate(args) -> int:
@@ -206,15 +209,20 @@ def cmd_simulate(args) -> int:
     codes = []
     for cfg_path, cfg, out_dir, svg in runs:
         try:
-            codes.append(_simulate_one(cfg, out_dir, svg))
+            result = _run_one(cfg)
         except (engine.NonFiniteStateError, OverflowError) as exc:
             print(f"error: {cfg_path}: numerical failure: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             codes.append(4)
+            continue
+        try:
+            _write_outputs(result, cfg, out_dir, svg)
         except OSError as exc:
             print(f"error: {cfg_path}: cannot write output: {exc}",
                   file=sys.stderr)
             codes.append(1)
+            continue
+        codes.append(2 if result.any_breach else 0)
     return max(codes)
 
 
@@ -224,18 +232,13 @@ def cmd_compare_blf(args) -> int:
             print(f"error: bounds must be positive and finite, got {b}",
                   file=sys.stderr)
             return 1
-    out_dir = Path(args.out or ".")
-    blocker = _file_in_the_way(out_dir)
-    if blocker is not None:
-        print(f"error: cannot write to {out_dir}: {blocker} is not a "
-              f"directory", file=sys.stderr)
-        return 1
     try:
         report = analysis.blf_report(args.bounds)
     except OverflowError as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 4
+    out_dir = Path(args.out or ".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report.to_csv(out_dir / "blf_report.csv")

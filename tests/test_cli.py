@@ -165,6 +165,17 @@ class TestSimulate:
         assert "is not a directory" in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "keep"
 
+    def test_write_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError("permission denied")
+
+        monkeypatch.setattr(engine, "write_trace_csv", refuse)
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "cannot write output" in err
+        assert "Traceback" not in err
+
     def test_nonfinite_state_exits_4(self, tmp_path, capsys, monkeypatch):
         def blow_up(*args, **kwargs):
             raise engine.NonFiniteStateError("non-finite state at t=1.0")
@@ -193,7 +204,7 @@ class TestCompareBlf:
         (tmp_path / "file").write_text("keep")
         assert main(["compare-blf", "1.0", "--out",
                      str(tmp_path / "file")]) == 1
-        assert "is not a directory" in capsys.readouterr().err
+        assert "error: cannot write output" in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "keep"
 
     def test_overflow_exits_4(self, tmp_path, capsys):

@@ -48,8 +48,13 @@ class TestRhsModel1:
         assert out == pytest.approx(-0.5)
 
     def test_dimension_mismatch(self, m1):
+        # the model's f and g see a 2-vector state, whose output the
+        # engine's rhs cannot read into the scalar loop
+        cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0,
+                               theta_bar=1.0)
+        loop = _bind(m1, cfg, 1)
         with pytest.raises(ValueError):
-            rhs(m1, 0.0, np.zeros(2), v(0))
+            loop.rhs(np.zeros(2), 0.0, 0.0, 0.0, 0.0)
 
 
 class TestRhsModel2:
