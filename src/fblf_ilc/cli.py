@@ -233,8 +233,10 @@ def cmd_compare_blf(args) -> int:
                   file=sys.stderr)
             return 1
     try:
-        report = analysis.blf_report(args.bounds)
-    except OverflowError as exc:
+        # the vector closed forms overflow to inf and 0 for large bounds
+        with np.errstate(over="raise", invalid="raise"):
+            report = analysis.blf_report(args.bounds)
+    except (OverflowError, FloatingPointError) as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 4

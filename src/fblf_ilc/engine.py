@@ -5,8 +5,9 @@ Each iteration integrates the error dynamics with a classical 4th-order
 fixed-step scheme on the learning grid.  At every node the engine reads
 the state, builds the learning signal z, updates the parameter memory,
 and forms the control input.  Across an interval the node estimate
-theta_hat is held while state-dependent terms (z, rho, robust action)
-are re-evaluated at the integrator stage states.
+theta_hat is held, so the node's evaluation is the first integrator
+stage; the state-dependent terms (z, rho, robust action) are
+re-evaluated at the other three stage states.
 
 A barrier-domain breach (V >= bound at a node or stage) truncates the
 iteration, flags it, and lets the run continue with the memory as
@@ -79,8 +80,7 @@ class RunResult:
 
 
 class _Breach(Exception):
-    def __init__(self, node: int):
-        self.node = node
+    """V reached the bound at a node or stage of the current interval."""
 
 
 def _identity(a):
@@ -256,29 +256,26 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
     rho = model.uncertainty.rho
 
-    def deriv(ts, es, xds):
+    def probe(t, e):
+        x = wrap(e)
+        v = value(x, e, t)
+        if not v < bound:
+            if not math.isfinite(v):
+                raise NonFiniteStateError(f"non-finite state at t={t}")
+            raise _Breach
+        return x, v, zvec(x, e, t, v)
+
+    def deriv(t, e, xd):
         # node i's estimate theta_hat is held across its interval
-        x = wrap(es)
-        vs = value(x, es, ts)
-        if not vs < bound:
-            if not math.isfinite(vs):
-                raise NonFiniteStateError(f"non-finite state at t={ts}")
-            raise _Breach(i)
-        s = robust(zvec(x, es, ts, vs), rho(x, ts))
-        return rhs(x, es, ts, -theta_hat - s, xds)
+        x, _, z = probe(t, e)
+        return rhs(x, e, t, -theta_hat - robust(z, rho(x, t)), xd)
 
     e = shape.zeros(n)  # alignment: x_k(0) = x_d(0)
     half_dt = 0.5 * dt
     try:
         for i in range(N + 1):
             t = times[i]
-            x = wrap(e)
-            v = value(x, e, t)
-            if not v < bound:
-                if not math.isfinite(v):
-                    raise NonFiniteStateError(f"non-finite state at t={t}")
-                raise _Breach(i)
-            z = zvec(x, e, t, v)
+            x, v, z = probe(t, e)
             _, theta_hat = update(i, z, gamma, clamp, row)
             u = -theta_hat - robust(z, rho(x, t))
             tr.e[i] = e
@@ -288,30 +285,29 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             if i == N:
                 break
 
-            xd0 = row(xd_table, 2 * i)
             xdh = row(xd_table, 2 * i + 1)
-            xd1 = row(xd_table, 2 * i + 2)
             th = t + half_dt
-            k1 = deriv(t, e, xd0)
+            k1 = rhs(x, e, t, u, row(xd_table, 2 * i))
             k2 = deriv(th, e + half_dt * k1, xdh)
             k3 = deriv(th, e + half_dt * k2, xdh)
-            k4 = deriv(t + dt, e + dt * k3, xd1)
+            k4 = deriv(t + dt, e + dt * k3, row(xd_table, 2 * i + 2))
             e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except _Breach as br:
+    except _Breach:
         tr.breach = True
-        tr.breach_node = br.node
+        tr.breach_node = i
     return tr
 
 
-def monitor_L(trace: IterationTrace, model, gamma: float,
-              config: ControllerConfig, theorem: int = 1,
+def monitor_L(trace: IterationTrace, model, config: ControllerConfig,
+              theorem: int = 1,
               theta_table: np.ndarray | None = None) -> np.ndarray:
     """Per-node Lyapunov-Krasovskii monitor.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
     with theta the true learnable uncertainty (simulation-only) and the
-    integral taken by the trapezoid rule on the grid.  NaN past a breach.
-    theta_table, theta at every node, is computed when not given.
+    integral taken by the trapezoid rule on the grid and gamma the
+    learning gain of config.  NaN past a breach.  theta_table, theta at
+    every node, is computed when not given.
     """
     blf = _bind(model, config, theorem).blf
     sel = trace.valid
@@ -323,7 +319,7 @@ def monitor_L(trace: IterationTrace, model, gamma: float,
     sq = np.sum(diff * diff, axis=1)
     dt = trace.t[1] - trace.t[0] if len(trace.t) > 1 else 0.0
     cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (sq[1:] + sq[:-1]))))
-    trace.L[sel] = blf(trace.V[sel]) + cum / (2.0 * gamma)
+    trace.L[sel] = blf(trace.V[sel]) + cum / (2.0 * config.gamma)
     return trace.L
 
 
@@ -343,8 +339,7 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
         t0 = time.perf_counter()
         tr = run_iteration(model, config, memory, theorem=theorem, k=k,
                            xd_table=xd_table)
-        monitor_L(tr, model, config.gamma, config, theorem=theorem,
-                  theta_table=theta_table)
+        monitor_L(tr, model, config, theorem=theorem, theta_table=theta_table)
         wall = time.perf_counter() - t0
         sel = tr.valid
         sup_e = float(np.max(np.linalg.norm(tr.e[sel], axis=1))) if sel.stop else float("nan")

@@ -106,14 +106,16 @@ def lyapunov_residual(model: ErrorModelII) -> float:
     return float(np.linalg.norm(model.A.T @ model.P + model.P @ model.A + model.Q))
 
 
-def check_certificate(model: ErrorModelI, n_samples: int = 10000,
-                      box: float = 10.0, seed: int = 0) -> bool:
-    """Sample-validate the certificate bracketing and dissipation bounds."""
-    rng = np.random.default_rng(seed)
+def check_certificate(model: ErrorModelI, n_samples: int = 10000) -> bool:
+    """Sample-validate the certificate bracketing and dissipation bounds.
+
+    Errors are drawn from the box [-10, 10]^n with a fixed seed.
+    """
+    rng = np.random.default_rng(0)
     cert = model.certificate
     tol = 1e-9
     for _ in range(n_samples):
-        e = rng.uniform(-box, box, size=model.n)
+        e = rng.uniform(-10.0, 10.0, size=model.n)
         t = rng.uniform(0.0, model.T)
         r = float(np.linalg.norm(e))
         v = cert.V(e, t)
@@ -124,12 +126,14 @@ def check_certificate(model: ErrorModelI, n_samples: int = 10000,
     return True
 
 
-def check_uncertainty_bound(model, n_samples: int = 10000,
-                            box: float = 10.0, seed: int = 1) -> bool:
-    """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0."""
-    rng = np.random.default_rng(seed)
+def check_uncertainty_bound(model, n_samples: int = 10000) -> bool:
+    """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0.
+
+    Errors are drawn from the box [-10, 10]^n with a fixed seed.
+    """
+    rng = np.random.default_rng(1)
     for _ in range(n_samples):
-        e = rng.uniform(-box, box, size=model.n)
+        e = rng.uniform(-10.0, 10.0, size=model.n)
         t = rng.uniform(0.0, model.T)
         if np.linalg.norm(delta_w(model, t, e)) > rho_bound(model, t, e) + 1e-9:
             return False

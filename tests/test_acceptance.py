@@ -193,7 +193,7 @@ def test_criterion_2_ordering():
 # ------------------------------------------------------------ 3. IBP suite
 
 def test_criterion_3_ibp():
-    seq = default_bound_sequence(b_max=1e8)
+    seq = default_bound_sequence()
     expected = {"LII": 1.0, "FII": 1.0, "FIII": 1.0, "FV": 1.0, "FIV": 2.0}
     bad = []
     for kind in BarrierKind:
@@ -203,8 +203,8 @@ def test_criterion_3_ibp():
                     and abs(probe.c_estimate - expected[kind.value]) <= 1e-4):
                 bad.append((kind.value, probe.c_estimate))
         else:  # LI, FI: ratio must flatten out to zero
-            if probe.ibp_holds or not probe.limit_estimate < 1e-4:
-                bad.append((kind.value, probe.limit_estimate))
+            if probe.ibp_holds or not probe.c_estimate < 1e-4:
+                bad.append((kind.value, probe.c_estimate))
     report(3, not bad, f"c within 1e-4 of 1 or 2 where positive, "
                        f"limit < 1e-4 for LI/FI; failures {bad or 'none'}")
 

@@ -187,7 +187,7 @@ class TestIbp:
     def test_li_fails(self):
         probe = ibp_probe(BarrierKind.LI, 1.0, self.SEQ)
         assert not probe.ibp_holds
-        assert probe.limit_estimate < 1e-4
+        assert probe.c_estimate < 1e-4
 
     @pytest.mark.parametrize("kind,c", [
         ("LII", 1.0), ("FII", 1.0), ("FIII", 1.0), ("FV", 1.0), ("FIV", 2.0)])
@@ -200,7 +200,7 @@ class TestIbp:
     def test_failing_kinds(self, kind):
         probe = ibp_probe(BarrierKind(kind), 1.0, self.SEQ)
         assert not probe.ibp_holds
-        assert probe.limit_estimate < 1e-4
+        assert probe.c_estimate < 1e-4
 
     def test_requires_increasing_sequence(self):
         with pytest.raises(ValueError):

@@ -207,8 +207,9 @@ class TestCompareBlf:
         assert "error: cannot write output" in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "keep"
 
-    def test_overflow_exits_4(self, tmp_path, capsys):
-        assert main(["compare-blf", "1e300", "--out", str(tmp_path)]) == 4
+    @pytest.mark.parametrize("bound", ["1e300", "1e103"])
+    def test_overflow_exits_4(self, tmp_path, capsys, bound):
+        assert main(["compare-blf", bound, "--out", str(tmp_path)]) == 4
         assert "numerical failure" in capsys.readouterr().err
 
 

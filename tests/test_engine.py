@@ -79,6 +79,42 @@ class TestRunIteration:
                        model.uncertainty.rho(x, t))
             np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
+    def test_node_evaluation_is_first_stage(self):
+        # the node's V, LgV and rho serve RK4's k1: per interval, four
+        # stage evaluations and no repeat, plus one at the final node
+        counts = {}
+
+        def counted(name, fn):
+            counts[name] = 0
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        N = 50
+        one = scalar_model_i()
+        cert, unc = one.certificate, one.uncertainty
+        one = dataclasses.replace(
+            one, f=counted("f", one.f), g=counted("g", one.g),
+            certificate=dataclasses.replace(cert, V=counted("V", cert.V),
+                                            LgV=counted("LgV", cert.LgV)),
+            uncertainty=dataclasses.replace(unc, rho=counted("rho", unc.rho)))
+        memory = ParamMemory(TimeGrid(T=one.T, N=N), m=1, bound=1.0)
+        assert not run_iteration(one, disc_cfg(), memory).breach
+        assert counts == {"f": 4 * N, "g": 4 * N, "V": 4 * N + 1,
+                          "LgV": 4 * N + 1, "rho": 4 * N + 1}
+
+        counts.clear()
+        two = scalar_model_ii()
+        unc = two.uncertainty
+        two = dataclasses.replace(
+            two, uncertainty=dataclasses.replace(unc,
+                                                 rho=counted("rho", unc.rho)))
+        memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1, bound=1.0)
+        assert not run_iteration(two, disc_cfg(bound=1.0), memory).breach
+        assert counts == {"rho": 4 * N + 1}
+
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=1.0, N=100), m=1, bound=1.0)
@@ -105,7 +141,7 @@ class TestMonitor:
         memory = ParamMemory(TimeGrid(T=model.T, N=2000), m=1, bound=1.0)
         tr = run_iteration(quiet_model(), disc_cfg(), memory)
         # overwrite with the built-in model's theta: int 0.25 sin^2 = 0.25*pi
-        L = monitor_L(tr, model, gamma, disc_cfg(), theorem=1)
+        L = monitor_L(tr, model, disc_cfg(), theorem=1)
         assert L[-1] == pytest.approx(0.25 * math.pi / (2 * gamma), rel=1e-6)
 
     def test_perfect_estimate_gives_zero(self):
@@ -114,14 +150,14 @@ class TestMonitor:
         tr = run_iteration(quiet_model(), disc_cfg(), memory)
         for i, t in enumerate(tr.t):
             tr.theta_hat[i] = 0.5 * math.sin(t)
-        L = monitor_L(tr, model, 2.0, disc_cfg(), theorem=1)
+        L = monitor_L(tr, model, disc_cfg(), theorem=1)
         np.testing.assert_allclose(L, 0.0, atol=1e-12)
 
     def test_nondecreasing_when_v_zero(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
         tr = run_iteration(quiet_model(), disc_cfg(), memory)
-        L = monitor_L(tr, model, 2.0, disc_cfg(), theorem=1)
+        L = monitor_L(tr, model, disc_cfg(), theorem=1)
         assert np.all(np.diff(L) >= -1e-15)
 
 
