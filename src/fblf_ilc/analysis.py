@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import plant
 from .barrier import (BarrierKind, default_bound_sequence, ibp_probe,
                       verify_order)
 from .engine import RunResult
@@ -99,8 +98,10 @@ def lemma2_check(seq: SequenceTriple) -> LemmaVerdict:
 @dataclass(frozen=True)
 class ConvergenceMetrics:
     limsup_supV: float
-    bound: float        # eps*T (model I) or 2*eps*T (model II)
+    bound: float        # eps*T over the barrier scale: 2*eps*T for model II
     bound_ratio: float
+    # model I: the measured radius alpha1^{-1}(limsup_supV); model II:
+    # the guaranteed radius sqrt(bound / lambda_min(P))
     e_radius: float
 
 
@@ -112,15 +113,10 @@ def convergence_metrics(result: RunResult, eps: float, T: float) -> ConvergenceM
         raise ValueError("need at least 8 iterations for a tail window")
     limsup = float(np.max(_tail(sup_V)))
     model = result.model
-    if isinstance(model, plant.ErrorModelII):
-        bound = 2.0 * eps * T
-        lam_min = float(np.min(np.linalg.eigvalsh(model.P)))
-        radius = math.sqrt(bound / lam_min)
-    else:
-        bound = eps * T
-        radius = model.certificate.alpha1_inv(limsup)
+    bound = eps * T / model.barrier_scale
     ratio = limsup / bound if bound > 0 else float("inf")
-    return ConvergenceMetrics(limsup, bound, ratio, radius)
+    return ConvergenceMetrics(limsup, bound, ratio,
+                              model.error_radius(limsup, bound))
 
 
 # ordering relations asserted for the barrier catalog; the (FII, FIII)

@@ -66,8 +66,7 @@ class RunConfig:
     theorem: int
     mode: str
     eps: float | None
-    bound: float
-    bound_key: str  # "b_V" or "b_e", for messages
+    bound: float  # the value of the model type's bound_key
     gamma: float
     theta_bar: float
     K: int
@@ -120,6 +119,8 @@ def parse_config(path) -> RunConfig:
     for key in _POSITIVE:
         if key in values and not values[key] > 0:
             raise ConfigError(f"field '{key}' must be positive, got {values[key]}")
+    if values["N"] < 2:
+        raise ConfigError(f"field 'N' must be >= 2, got {values['N']}")
     theorem = values["theorem"]
     if theorem not in (1, 2):
         raise ConfigError(f"field 'theorem' must be 1 or 2, got {theorem}")
@@ -132,16 +133,16 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("field 'mode' must be 'cont' for theorem 2 "
                           "(set allow_disc_thm2 = true to override)")
 
-    bound_key = "b_e" if model == "scalar-II" else "b_V"
-    wrong_key = "b_V" if bound_key == "b_e" else "b_e"
-    if wrong_key in values:
-        raise ConfigError(f"field '{wrong_key}' does not apply to model {model}")
+    bound_key = BUILTIN_MODELS[model]().bound_key
+    for key in ("b_V", "b_e"):
+        if key != bound_key and key in values:
+            raise ConfigError(f"field '{key}' does not apply to model {model}")
     if bound_key not in values:
         raise ConfigError(f"field '{bound_key}' is required for model {model}")
 
     return RunConfig(
         model=model, theorem=theorem, mode=mode,
-        eps=values.get("eps"), bound=values[bound_key], bound_key=bound_key,
+        eps=values.get("eps"), bound=values[bound_key],
         gamma=values["gamma"], theta_bar=values["theta_bar"],
         K=values["K"], N=values["N"], T=values.get("T"),
         out=values.get("out"), svg=values["svg"],
@@ -177,12 +178,11 @@ def _write_outputs(result: engine.RunResult, cfg: RunConfig, out_dir: Path,
                           [("sup|e_k|", [s.sup_e for s in result.summaries])],
                           title="tracking error per iteration",
                           xlabel="iteration k", ylabel="sup |e|", ylog=True)
-        cap = cfg.bound ** 2 if cfg.bound_key == "b_e" else cfg.bound
         svgplot.line_plot(out_dir / "constraint.svg", ks,
                           [("sup V_k", [s.sup_V for s in result.summaries])],
                           title="constrained quantity per iteration",
                           xlabel="iteration k", ylabel="sup V",
-                          hline=cap)
+                          hline=cfg.bound ** result.model.bound_power)
 
 
 def cmd_simulate(args) -> int:
@@ -209,8 +209,10 @@ def cmd_simulate(args) -> int:
     codes = []
     for cfg_path, cfg, out_dir, svg in runs:
         try:
-            result = _run_one(cfg)
-        except (engine.NonFiniteStateError, OverflowError) as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                result = _run_one(cfg)
+        except (engine.NonFiniteStateError, OverflowError,
+                FloatingPointError) as exc:
             print(f"error: {cfg_path}: numerical failure: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             codes.append(4)

@@ -25,7 +25,7 @@ class Mode(Enum):
 @dataclass(frozen=True)
 class ControllerConfig:
     mode: Mode
-    bound: float          # b_V for model I, b_e for model II (squared internally)
+    bound: float          # b_V or b_e: the model's bound_key, ** bound_power
     gamma: float
     theta_bar: float
     eps: float | None = None

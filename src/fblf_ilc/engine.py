@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -61,7 +60,6 @@ class IterationSummary:
     L_T: float
     delta_L: float
     violations: int
-    wall_time: float
 
 
 @dataclass
@@ -149,61 +147,22 @@ class _Loop(NamedTuple):
     bound: float
 
 
-# theorem -> the barrier kind whose value the monitor uses and whose d1
-# weights the learning signal z = d1(V, bound) * grad
+# theorem -> the monitor's barrier kind (the model type names the gain's)
 _THEOREM_KINDS = {1: BarrierKind.FII, 2: BarrierKind.FV}
-# model II under Theorem 1 takes its gain from FI, not from FII: the
-# gain be2/(be2 - V)^2 is FII's d1 divided by be2, so the two agree only
-# at b_e = 1
-_MODEL2_GAIN_KINDS = {1: BarrierKind.FI, 2: BarrierKind.FV}
 
 
 def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
-    """Model/theorem-specific closures, in the shape the model's size picks.
-
-    Model I constrains V(e, t) < b_V with gradient LgV; model II
-    constrains e'Pe < b_e^2 with gradient B'Pe and halves the barrier.
-    Models with n = m = 1 run on Python floats, others on numpy arrays.
-    """
+    """The model type's constraint terms bound for the closed loop, on
+    Python floats for n = m = 1 and on numpy arrays otherwise.  The
+    learning signal is z = d1(V, bound) * grad, d1 of the gain kind."""
     if theorem not in _THEOREM_KINDS:
         raise ValueError("theorem must be 1 or 2")
-    if not isinstance(model, (plant.ErrorModelI, plant.ErrorModelII)):
-        raise TypeError(f"unsupported model type {type(model)!r}")
     shape = _FLOAT if model.n == model.m == 1 else _ARRAY
-    wrap, unwrap, matvec = shape.wrap, shape.unwrap, shape.matvec
-    kind = _THEOREM_KINDS[theorem]
-    w = model.uncertainty.w
-    if isinstance(model, plant.ErrorModelI):
-        V, LgV = model.certificate.V, model.certificate.LgV
-        bound, scale, gain_kind = config.bound, 1.0, kind
-        f, g = model.f, model.g
-
-        def value(x, e, t):
-            return V(x, t)
-
-        def grad(x, e, t):
-            return unwrap(LgV(x, t))
-
-        def rhs(x, e, t, u, xd):
-            # dw + theta collapses to w evaluated at the actual state
-            return unwrap(f(x, t)) + matvec(unwrap(g(x, t)),
-                                            u + unwrap(w(wrap(xd + e), t)))
-    else:
-        P, A, B = (unwrap(M) for M in (model.P, model.A, model.b))
-        BtP = unwrap(model.b.T @ model.P)
-        bound, scale = config.bound ** 2, 0.5
-        gain_kind = _MODEL2_GAIN_KINDS[theorem]
-        dot = shape.dot
-
-        def value(x, e, t):
-            return dot(e, matvec(P, e))
-
-        def grad(x, e, t):
-            return matvec(BtP, e)
-
-        def rhs(x, e, t, u, xd):
-            return matvec(A, e) + matvec(B, u + unwrap(w(wrap(xd + e), t)))
-    form, d1 = FORMS[kind][0], FORMS[gain_kind][1]
+    value, grad, rhs = model.loop_terms(shape)
+    bound = config.bound ** model.bound_power
+    scale = model.barrier_scale
+    form = FORMS[_THEOREM_KINDS[theorem]][0]
+    d1 = FORMS[model.gain_kinds[theorem]][1]
 
     def zvec(x, e, t, v):
         return d1(v, bound) * grad(x, e, t)
@@ -336,11 +295,9 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
     theta_table = _theta_table(model, grid.nodes)
     prev_LT = None
     for k in range(K):
-        t0 = time.perf_counter()
         tr = run_iteration(model, config, memory, theorem=theorem, k=k,
                            xd_table=xd_table)
         monitor_L(tr, model, config, theorem=theorem, theta_table=theta_table)
-        wall = time.perf_counter() - t0
         sel = tr.valid
         sup_e = float(np.max(np.linalg.norm(tr.e[sel], axis=1))) if sel.stop else float("nan")
         sup_V = float(np.max(tr.V[sel])) if sel.stop else float("nan")
@@ -349,7 +306,7 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
         result.traces.append(tr)
         result.summaries.append(IterationSummary(
             k=k, sup_e=sup_e, sup_V=sup_V, L_T=L_T, delta_L=delta,
-            violations=int(tr.breach), wall_time=wall))
+            violations=int(tr.breach)))
         if np.isfinite(L_T):
             prev_LT = L_T
     return result
@@ -367,9 +324,9 @@ class DeltaLVerdict:
 def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     """Verify the per-iteration decrease of the monitor at t = T.
 
-    For model I the bound uses V_{k-1}(T); for model II the BLF value
-    W_{k-1}(T), with an additive eps*T allowance under the smoothed
-    (theorem-2) scheme.
+    The model type names the required decrease: V_{k-1}(T) for model I,
+    the BLF value W_{k-1}(T) for model II; the smoothed (theorem-2)
+    scheme adds an eps*T allowance.
     """
     model, config, theorem = result.model, result.config, result.theorem
     blf = _bind(model, config, theorem).blf
@@ -381,11 +338,7 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
             continue
         L_k = float(cur.L[-1])
         dL = L_k - float(prev.L[-1])
-        if isinstance(model, plant.ErrorModelI):
-            decrease = float(prev.V[-1])
-        else:
-            decrease = blf(float(prev.V[-1]))
-        required = -decrease + residual
+        required = -model.required_decrease(float(prev.V[-1]), blf) + residual
         slack = 1e-6 * (1.0 + abs(L_k))
         verdicts.append(DeltaLVerdict(k=k, delta_L=dL, required=required,
                                       slack=slack, passed=dL <= required + slack))

@@ -9,15 +9,20 @@ The lumped uncertainty w(x, t) is split along the desired trajectory:
 theta(t) = w(x_d(t), t) is iteration-independent and learnable, while
 dw = w(x_d + e, t) - w(x_d, t) vanishes with the error and is only
 norm-bounded by a user-supplied rho(e, t).
+
+Each model type carries its constraint: bound, barrier scale, gain kind
+per theorem, closed-loop terms, required decrease and error radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
+
+from .barrier import BarrierKind
 
 Vec = np.ndarray
 
@@ -52,6 +57,7 @@ class LyapunovCertificate:
 
 @dataclass(frozen=True)
 class ErrorModelI:
+    """Constrains V(e, t) < b_V, with gradient LgV and the whole barrier."""
     n: int
     m: int
     f: Callable[[Vec, float], Vec]
@@ -61,9 +67,41 @@ class ErrorModelI:
     certificate: LyapunovCertificate
     T: float
 
+    bound_key: ClassVar[str] = "b_V"
+    bound_power: ClassVar[int] = 1
+    barrier_scale: ClassVar[float] = 1.0
+    gain_kinds: ClassVar[dict] = {1: BarrierKind.FII, 2: BarrierKind.FV}
+
+    def loop_terms(self, shape):
+        """The closed loop's (value, grad, rhs), in shape's primitives."""
+        wrap, unwrap, matvec = shape.wrap, shape.unwrap, shape.matvec
+        V, LgV = self.certificate.V, self.certificate.LgV
+        f, g, w = self.f, self.g, self.uncertainty.w
+
+        def value(x, e, t):
+            return V(x, t)
+
+        def grad(x, e, t):
+            return unwrap(LgV(x, t))
+
+        def rhs(x, e, t, u, xd):
+            # dw + theta collapses to w evaluated at the actual state
+            return unwrap(f(x, t)) + matvec(unwrap(g(x, t)),
+                                            u + unwrap(w(wrap(xd + e), t)))
+        return value, grad, rhs
+
+    def required_decrease(self, v, blf):
+        return v  # V_{k-1}(T)
+
+    def error_radius(self, limsup, bound):
+        return self.certificate.alpha1_inv(limsup)  # measured
+
 
 @dataclass(frozen=True)
 class ErrorModelII:
+    """Constrains e'Pe < b_e^2, with gradient B'Pe and half the barrier.
+    Its Theorem-1 gain, FI's d1 b_e^2/(b_e^2 - V)^2, is 1/b_e^2 times
+    that of the monitor's FII: the two pair only at b_e = 1."""
     A: np.ndarray
     b: np.ndarray  # n x m
     P: np.ndarray
@@ -72,6 +110,11 @@ class ErrorModelII:
     uncertainty: UncertaintySpec
     T: float
 
+    bound_key: ClassVar[str] = "b_e"
+    bound_power: ClassVar[int] = 2
+    barrier_scale: ClassVar[float] = 0.5
+    gain_kinds: ClassVar[dict] = {1: BarrierKind.FI, 2: BarrierKind.FV}
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -79,6 +122,30 @@ class ErrorModelII:
     @property
     def m(self) -> int:
         return self.b.shape[1]
+
+    def loop_terms(self, shape):
+        """As ErrorModelI's, with P, A, b and B'P read in once."""
+        wrap, unwrap, matvec = shape.wrap, shape.unwrap, shape.matvec
+        P, A, B = (unwrap(M) for M in (self.P, self.A, self.b))
+        BtP = unwrap(self.b.T @ self.P)
+        w, dot = self.uncertainty.w, shape.dot
+
+        def value(x, e, t):
+            return dot(e, matvec(P, e))
+
+        def grad(x, e, t):
+            return matvec(BtP, e)
+
+        def rhs(x, e, t, u, xd):
+            return matvec(A, e) + matvec(B, u + unwrap(w(wrap(xd + e), t)))
+        return value, grad, rhs
+
+    def required_decrease(self, v, blf):
+        return blf(v)  # the barrier W_{k-1}(T)
+
+    def error_radius(self, limsup, bound):
+        # guaranteed by the bound, not measured
+        return math.sqrt(bound / float(np.min(np.linalg.eigvalsh(self.P))))
 
 
 def theta_true(model, t: float) -> Vec:

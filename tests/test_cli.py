@@ -1,8 +1,9 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from fblf_ilc import engine
+from fblf_ilc import engine, svgplot
 from fblf_ilc.cli import main, parse_config, ConfigError
 
 
@@ -144,13 +145,41 @@ class TestSimulate:
         assert f"'{field}' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflow_exits_4(self, tmp_path, capsys):
-        path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",
-                                                          "b_V = 1e300"))
+    def test_single_step_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("N = 100", "N = 1"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert "field 'N' must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["b_V", "T"])
+    def test_overflow_exits_4(self, tmp_path, capsys, field):
+        # T = 1e300 overflows inside numpy; pytest turns a RuntimeWarning
+        # into an error, so this also checks that none escapes
+        path = write_config(tmp_path, GOOD_CONFIG + f"{field} = 1e300\n")
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 4
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, bound, cap", [
+        ("scalar-I", "b_V = 0.5", 0.5),
+        ("scalar-II", "b_e = 2", 4.0),
+    ], ids=["scalar-I", "scalar-II"])
+    def test_constraint_plot_cap(self, tmp_path, monkeypatch, model, bound,
+                                 cap):
+        hlines = {}
+
+        def record(path, *args, hline=None, **kwargs):
+            hlines[Path(path).name] = hline
+
+        monkeypatch.setattr(svgplot, "line_plot", record)
+        body = (GOOD_CONFIG.replace("model = scalar-I", f"model = {model}")
+                .replace("b_V = 0.5", bound))
+        path = write_config(tmp_path, body)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o"),
+                     "--svg"]) == 0
+        assert hlines == {"convergence.svg": None, "constraint.svg": cap}
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_is_a_file_exits_1_before_running(self, tmp_path, capsys,
