@@ -85,21 +85,16 @@ def _identity(a):
     return a
 
 
-def _wrap(x: float) -> np.ndarray:
-    # faster than np.array([x])
-    a = np.empty(1)
-    a[0] = x
-    return a
-
-
 def _item(a) -> float:
-    # a model callable may return a one-element array or a plain number
+    # a float (as the built-ins return), a numpy scalar or a 1-element array
+    if type(a) is float:
+        return a
     return a.item() if isinstance(a, np.ndarray) else float(a)
 
 
 class _Shape(NamedTuple):
     """The primitives through which one closed loop serves both shapes."""
-    wrap: Callable     # loop state -> the array a model callable receives
+    wrap: Callable     # loop state -> the state a model callable receives
     unwrap: Callable   # a model's vector or matrix -> the loop's form
     dot: Callable      # inner product, as a float
     matvec: Callable   # matrix (in the loop's form) times vector
@@ -108,12 +103,11 @@ class _Shape(NamedTuple):
     zeros: Callable    # zero vector of a given length
 
 
-# n = m = 1: the loop runs on Python floats.  numpy's one-term matmul and
-# dot add their product to 0.0, which turns -0.0 into 0.0, so the float
-# dot and matvec do too; every other operation is the same IEEE operation
-# on a float as on a one-element array.
+# n = m = 1: Python floats throughout.  numpy's one-term matmul and dot
+# add their product to 0.0, turning -0.0 into 0.0, and so do the float
+# dot and matvec; any other operation is the same on floats and arrays.
 _FLOAT = _Shape(
-    wrap=_wrap,
+    wrap=_identity,
     unwrap=_item,
     dot=lambda a, b: 0.0 + a * b,
     matvec=lambda M, x: 0.0 + M * x,
@@ -136,8 +130,8 @@ class _Loop(NamedTuple):
     """A model/theorem pair bound for the closed loop.
 
     The state-dependent closures take the stage state twice: e in the
-    loop's shape, x as the array the model's callables receive (the same
-    object as e in the array shape).
+    loop's shape, x as the model's callables receive it (the same object
+    in both shapes).
     """
     shape: _Shape
     value: Callable    # (x, e, t) -> V, the constrained quantity
@@ -157,7 +151,7 @@ def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
     learning signal is z = d1(V, bound) * grad, d1 of the gain kind."""
     if theorem not in _THEOREM_KINDS:
         raise ValueError("theorem must be 1 or 2")
-    shape = _FLOAT if model.n == model.m == 1 else _ARRAY
+    shape = _FLOAT if plant.float_native(model) else _ARRAY
     value, grad, rhs = model.loop_terms(shape)
     bound = config.bound ** model.bound_power
     scale = model.barrier_scale

@@ -24,7 +24,7 @@ import numpy as np
 
 from .barrier import BarrierKind
 
-Vec = np.ndarray
+State = float | np.ndarray  # the state the loop passes, see float_native
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class UncertaintySpec:
     rho must dominate ||w(x_d + e, t) - w(x_d, t)|| and vanish at e = 0;
     both properties are validated by sampling, never assumed.
     """
-    w: Callable[[Vec, float], Vec]
-    rho: Callable[[Vec, float], float]
+    w: Callable[[State, float], State]
+    rho: Callable[[State, float], float]
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class LyapunovCertificate:
     not exceed -alpha(||e||).  alpha1_inv converts a V-level back to an
     error radius.
     """
-    V: Callable[[Vec, float], float]
-    dissipation: Callable[[Vec, float], float]
-    LgV: Callable[[Vec, float], Vec]
+    V: Callable[[State, float], float]
+    dissipation: Callable[[State, float], float]
+    LgV: Callable[[State, float], State]
     alpha1: Callable[[float], float]
     alpha2: Callable[[float], float]
     alpha: Callable[[float], float]
@@ -60,9 +60,9 @@ class ErrorModelI:
     """Constrains V(e, t) < b_V, with gradient LgV and the whole barrier."""
     n: int
     m: int
-    f: Callable[[Vec, float], Vec]
-    g: Callable[[Vec, float], np.ndarray]  # n x m
-    x_d: Callable[[float], Vec]
+    f: Callable[[State, float], State]
+    g: Callable[[State, float], State]  # n x m
+    x_d: Callable[[float], np.ndarray]
     uncertainty: UncertaintySpec
     certificate: LyapunovCertificate
     T: float
@@ -106,7 +106,7 @@ class ErrorModelII:
     b: np.ndarray  # n x m
     P: np.ndarray
     Q: np.ndarray
-    x_d: Callable[[float], Vec]
+    x_d: Callable[[float], np.ndarray]
     uncertainty: UncertaintySpec
     T: float
 
@@ -148,7 +148,13 @@ class ErrorModelII:
         return math.sqrt(bound / float(np.min(np.linalg.eigvalsh(self.P))))
 
 
-def theta_true(model, t: float) -> Vec:
+def float_native(model) -> bool:
+    """n = m = 1: the closed loop passes the model's callables (V, LgV, f,
+    g, w, rho) a Python float state, not an array; x_d returns arrays."""
+    return model.n == model.m == 1
+
+
+def theta_true(model, t: float) -> np.ndarray:
     """Learnable part of the uncertainty, evaluated on the desired path.
 
     Monitor-only: the controller never sees this.
@@ -156,14 +162,14 @@ def theta_true(model, t: float) -> Vec:
     return np.asarray(model.uncertainty.w(model.x_d(t), t), dtype=float)
 
 
-def delta_w(model, t: float, e: Vec) -> Vec:
+def delta_w(model, t: float, e: State) -> np.ndarray:
     """Error-induced part of the uncertainty, w(x_d + e, t) - w(x_d, t)."""
     xd = model.x_d(t)
     w = model.uncertainty.w
     return np.asarray(w(xd + e, t), dtype=float) - np.asarray(w(xd, t), dtype=float)
 
 
-def rho_bound(model, t: float, e: Vec) -> float:
+def rho_bound(model, t: float, e: State) -> float:
     """Norm bound on delta_w; zero at zero error."""
     return float(model.uncertainty.rho(e, t))
 
@@ -176,13 +182,14 @@ def lyapunov_residual(model: ErrorModelII) -> float:
 def check_certificate(model: ErrorModelI, n_samples: int = 10000) -> bool:
     """Sample-validate the certificate bracketing and dissipation bounds.
 
-    Errors are drawn from the box [-10, 10]^n with a fixed seed.
+    Errors are drawn from the box [-10, 10]^n with a fixed seed, as State.
     """
     rng = np.random.default_rng(0)
     cert = model.certificate
     tol = 1e-9
+    size = None if float_native(model) else model.n
     for _ in range(n_samples):
-        e = rng.uniform(-10.0, 10.0, size=model.n)
+        e = rng.uniform(-10.0, 10.0, size=size)
         t = rng.uniform(0.0, model.T)
         r = float(np.linalg.norm(e))
         v = cert.V(e, t)
@@ -196,32 +203,33 @@ def check_certificate(model: ErrorModelI, n_samples: int = 10000) -> bool:
 def check_uncertainty_bound(model, n_samples: int = 10000) -> bool:
     """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0.
 
-    Errors are drawn from the box [-10, 10]^n with a fixed seed.
+    Errors are drawn from the box [-10, 10]^n with a fixed seed, as State.
     """
     rng = np.random.default_rng(1)
+    size = None if float_native(model) else model.n
     for _ in range(n_samples):
-        e = rng.uniform(-10.0, 10.0, size=model.n)
+        e = rng.uniform(-10.0, 10.0, size=size)
         t = rng.uniform(0.0, model.T)
         if np.linalg.norm(delta_w(model, t, e)) > rho_bound(model, t, e) + 1e-9:
             return False
-        if rho_bound(model, t, np.zeros(model.n)) != 0.0:
+        if rho_bound(model, t, 0.0 if size is None else np.zeros(size)) != 0.0:
             return False
     return True
 
 
 def _scalar_uncertainty(l_w: float = 0.5) -> UncertaintySpec:
-    # Lipschitz bound rho = l_w ||e|| matches w(x, t) = l_w x exactly
+    # Lipschitz bound rho = l_w |e| matches w(x, t) = l_w x exactly
     return UncertaintySpec(
         w=lambda x, t: l_w * x,
-        rho=lambda e, t: l_w * math.sqrt(float(e @ e)),
+        rho=lambda e, t: l_w * math.sqrt(e * e),
     )
 
 
 def scalar_model_i(T: float = 2.0 * math.pi) -> ErrorModelI:
     """Built-in scalar nonlinear model: f = -e, g = 1, w(x, t) = x/2, x_d = sin t."""
     cert = LyapunovCertificate(
-        V=lambda e, t: 0.5 * float(e @ e),
-        dissipation=lambda e, t: -float(e @ e),
+        V=lambda e, t: 0.5 * (e * e),
+        dissipation=lambda e, t: -(e * e),
         LgV=lambda e, t: e,
         alpha1=lambda s: 0.5 * s * s,
         alpha2=lambda s: 0.5 * s * s,
@@ -231,7 +239,7 @@ def scalar_model_i(T: float = 2.0 * math.pi) -> ErrorModelI:
     return ErrorModelI(
         n=1, m=1,
         f=lambda e, t: -e,
-        g=lambda e, t: _EYE1,
+        g=lambda e, t: 1.0,
         x_d=lambda t: np.array([math.sin(t)]),
         uncertainty=_scalar_uncertainty(),
         certificate=cert,
@@ -251,8 +259,6 @@ def scalar_model_ii(T: float = 2.0 * math.pi) -> ErrorModelII:
         T=T,
     )
 
-
-_EYE1 = np.eye(1)
 
 BUILTIN_MODELS = {
     "scalar-I": scalar_model_i,

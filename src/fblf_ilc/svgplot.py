@@ -83,7 +83,7 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
                      f'font-size="11">{tv:g}</text>')
     for tv in _ticks(ylo, yhi):
         yv = _MT + ph - (tv - ylo) / (yhi - ylo) * ph
-        label = f"1e{tv:g}" if ylog else f"{tv:g}"
+        label = f"{10 ** tv if ylog else tv:g}"
         parts.append(f'<line x1="{_ML - 5}" y1="{yv:.1f}" x2="{_ML}" '
                      f'y2="{yv:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{yv + 4:.1f}" text-anchor="end" '

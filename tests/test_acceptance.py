@@ -111,7 +111,7 @@ def plateau_model(model):
         return THETA_BAR + 0.5 * e + RELAY_AMPLITUDE * np.tanh(e / RELAY_WIDTH)
 
     def rho(e, t):
-        r = math.sqrt(float(e @ e))
+        r = math.sqrt(e * e)
         return 0.5 * r + RELAY_AMPLITUDE * math.tanh(r / RELAY_WIDTH)
 
     return dataclasses.replace(model, uncertainty=UncertaintySpec(w=w, rho=rho))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
 from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, check_delta_L, monitor_L,
@@ -25,6 +27,11 @@ def cont_cfg(bound=0.5, eps=1e-2):
                             theta_bar=1.0, eps=eps)
 
 
+FACTORIES = {"I": scalar_model_i, "II": scalar_model_ii}
+# the bound of each built-in's reference runs (disc_cfg, criteria 4-5)
+REF_BOUND = {"I": 0.5, "II": 1.0}
+
+
 def quiet_model():
     """Built-in scalar plant with the uncertainty switched off."""
     base = scalar_model_i()
@@ -32,6 +39,21 @@ def quiet_model():
     return ErrorModelI(n=1, m=1, f=base.f, g=base.g, x_d=base.x_d,
                        uncertainty=silent, certificate=base.certificate,
                        T=base.T)
+
+
+def replace_callables(model, wrap):
+    """model with each state callable the closed loop calls (V, LgV, f, g,
+    w, rho; model II has only w and rho) replaced by wrap(name, fn)."""
+    unc = model.uncertainty
+    fields = {"uncertainty": dataclasses.replace(
+        unc, w=wrap("w", unc.w), rho=wrap("rho", unc.rho))}
+    if isinstance(model, ErrorModelI):
+        cert = model.certificate
+        fields.update(f=wrap("f", model.f), g=wrap("g", model.g),
+                      certificate=dataclasses.replace(
+                          cert, V=wrap("V", cert.V),
+                          LgV=wrap("LgV", cert.LgV)))
+    return dataclasses.replace(model, **fields)
 
 
 class TestRunIteration:
@@ -74,8 +96,8 @@ class TestRunIteration:
         loop = _bind(model, cfg, 2)
         robust = robust_term(cfg, loop.shape.zeros(1), loop.shape.dot)
         for i, t in enumerate(tr.t):
-            x = tr.e[i]
-            s = robust(loop.zvec(x, loop.shape.unwrap(x), t, tr.V[i]),
+            x = loop.shape.unwrap(tr.e[i])
+            s = robust(loop.zvec(x, x, t, tr.V[i]),
                        model.uncertainty.rho(x, t))
             np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
@@ -93,27 +115,36 @@ class TestRunIteration:
             return wrapper
 
         N = 50
-        one = scalar_model_i()
-        cert, unc = one.certificate, one.uncertainty
-        one = dataclasses.replace(
-            one, f=counted("f", one.f), g=counted("g", one.g),
-            certificate=dataclasses.replace(cert, V=counted("V", cert.V),
-                                            LgV=counted("LgV", cert.LgV)),
-            uncertainty=dataclasses.replace(unc, rho=counted("rho", unc.rho)))
+        one = replace_callables(scalar_model_i(), counted)
         memory = ParamMemory(TimeGrid(T=one.T, N=N), m=1, bound=1.0)
         assert not run_iteration(one, disc_cfg(), memory).breach
-        assert counts == {"f": 4 * N, "g": 4 * N, "V": 4 * N + 1,
-                          "LgV": 4 * N + 1, "rho": 4 * N + 1}
+        assert counts == {"f": 4 * N, "g": 4 * N, "w": 4 * N,
+                          "V": 4 * N + 1, "LgV": 4 * N + 1, "rho": 4 * N + 1}
 
         counts.clear()
-        two = scalar_model_ii()
-        unc = two.uncertainty
-        two = dataclasses.replace(
-            two, uncertainty=dataclasses.replace(unc,
-                                                 rho=counted("rho", unc.rho)))
+        two = replace_callables(scalar_model_ii(), counted)
         memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1, bound=1.0)
         assert not run_iteration(two, disc_cfg(bound=1.0), memory).breach
-        assert counts == {"rho": 4 * N + 1}
+        assert counts == {"w": 4 * N, "rho": 4 * N + 1}
+
+    @pytest.mark.parametrize("name", ["I", "II"])
+    def test_float_native_callables_receive_floats(self, name):
+        # n = m = 1: every state callable gets the loop's Python float
+        seen = set()
+
+        def typed(field, fn):
+            def wrapper(x, t):
+                seen.add((field, type(x)))
+                return fn(x, t)
+            return wrapper
+
+        model = replace_callables(FACTORIES[name](), typed)
+        memory = ParamMemory(TimeGrid(T=model.T, N=50), m=1, bound=1.0)
+        cfg = disc_cfg(bound=REF_BOUND[name])
+        assert not run_iteration(model, cfg, memory).breach
+        fields = (("V", "LgV", "f", "g", "w", "rho") if name == "I"
+                  else ("w", "rho"))
+        assert seen == {(field, float) for field in fields}
 
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()
@@ -194,6 +225,43 @@ class TestRun:
         assert model.T == before
 
 
+class TestRunProperties:
+    """Invariants of any run: the estimate stays within theta_bar, V
+    below the bound on the nodes before a breach and NaN after it, and
+    the delta-L verdicts follow from the traces."""
+
+    @pytest.mark.parametrize("mode", [Mode.DISC, Mode.CONT])
+    @pytest.mark.parametrize("name", ["I", "II"])
+    @settings(max_examples=25, deadline=None)
+    @given(share=st.floats(0.05, 2.0), gamma=st.floats(0.5, 4.0),
+           theta_bar=st.floats(0.5, 2.0), eps=st.floats(1e-3, 3e-2),
+           theorem=st.sampled_from([1, 2]), N=st.sampled_from([10, 20, 50]))
+    def test_invariants(self, name, mode, share, gamma, theta_bar, eps,
+                        theorem, N):
+        model = FACTORIES[name]()
+        cfg = ControllerConfig(mode=mode, bound=share * REF_BOUND[name],
+                               gamma=gamma, theta_bar=theta_bar,
+                               eps=eps if mode is Mode.CONT else None)
+        result = run(model, cfg, K=3, N=N, theorem=theorem)
+        bound = cfg.bound ** model.bound_power
+        for tr in result.traces:
+            assert tr.breach == (tr.breach_node is not None)
+            sel = tr.valid
+            assert np.all(np.abs(tr.theta_hat[sel]) <= theta_bar)
+            assert np.all(tr.V[sel] < bound)
+            if tr.breach:
+                assert np.all(np.isnan(tr.V[tr.breach_node + 1:]))
+        # a verdict for each pair of unbreached iterations, read off L(T)
+        traces = result.traces
+        verdicts = check_delta_L(result)
+        assert [v.k for v in verdicts] == [
+            k for k in range(1, 3)
+            if not (traces[k - 1].breach or traces[k].breach)]
+        for v in verdicts:
+            assert v.delta_L == traces[v.k].L[-1] - traces[v.k - 1].L[-1]
+            assert v.passed == (v.delta_L <= v.required + v.slack)
+
+
 class TestDeltaL:
     def test_healthy_run_passes(self):
         result = run(scalar_model_i(), disc_cfg(), K=8, N=500)
@@ -236,11 +304,12 @@ class TestCsvOutput:
 
 def lift(model):
     """A 2-state lift of a built-in: the second state is decoupled and
-    zero, g/b = [[1], [0]], and the uncertainty and the gradient read the
-    first state only.  It runs through the engine's array form."""
+    zero, g/b = [[1], [0]], and the uncertainty, V and the gradient read
+    the first state only, as the float the built-in takes.  It runs
+    through the engine's array form."""
     col = np.array([[1.0], [0.0]])
     unc = UncertaintySpec(w=lambda x, t: model.uncertainty.w(x[:1], t),
-                          rho=lambda e, t: model.uncertainty.rho(e[:1], t))
+                          rho=lambda e, t: model.uncertainty.rho(e[0], t))
 
     def x_d(t):
         return np.array([model.x_d(t)[0], 0.0])
@@ -248,7 +317,8 @@ def lift(model):
     if isinstance(model, ErrorModelI):
         cert = dataclasses.replace(
             model.certificate,
-            LgV=lambda e, t: model.certificate.LgV(e[:1], t))
+            V=lambda e, t: model.certificate.V(e[0], t),
+            LgV=lambda e, t: np.array([model.certificate.LgV(e[0], t)]))
         return dataclasses.replace(model, n=2, g=lambda e, t: col, x_d=x_d,
                                    uncertainty=unc, certificate=cert)
     eye = np.eye(2)
@@ -262,7 +332,6 @@ def lift(model):
 # coarse grid whose iterations breach inside an integrator stage
 LIFT_CASES = [("I", 0.5, 200), ("I", 0.01985, 200), ("I", 0.05, 10),
               ("II", 1.0, 200), ("II", 2.0, 200), ("II", 0.2, 20)]
-FACTORIES = {"I": scalar_model_i, "II": scalar_model_ii}
 
 
 class TestArrayForm:
@@ -339,8 +408,12 @@ class TestFloatShape:
                              _ARRAY.clamp(np.array([v]), 1.0).item()), v
 
     def test_wrap_and_unwrap(self):
-        x = _FLOAT.wrap(-0.0)
-        assert x.shape == (1,) and same_bits(x, np.array([-0.0]))
-        assert _FLOAT.unwrap(np.array([[2.5]])) == 2.5
-        assert _FLOAT.unwrap(np.float64(-1.5)) == -1.5
-        assert type(_FLOAT.unwrap(np.array([1.0]))) is float
+        # the model callables receive the loop's float itself, and may
+        # return a float, a numpy scalar or a one-element array
+        for x in SIGNED:
+            assert _FLOAT.wrap(x) is x
+        assert math.copysign(1.0, _FLOAT.wrap(-0.0)) == -1.0
+        for a, want in ((np.array([[2.5]]), 2.5), (np.array([1.0]), 1.0),
+                        (np.float64(-1.5), -1.5), (-0.0, -0.0)):
+            got = _FLOAT.unwrap(a)
+            assert type(got) is float and same_bits(got, want), a

@@ -23,7 +23,8 @@ def m2():
 
 
 def v(x):
-    return np.array([float(x)])
+    # a state as the closed loop passes it to a float-native model
+    return float(x)
 
 
 def rhs(model, t, e, u):
@@ -86,7 +87,7 @@ class TestUncertainty:
     def test_delta_w_pointwise(self, m1):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            e = rng.uniform(-10, 10, size=1)
+            e = rng.uniform(-10, 10, size=1).item()
             t = rng.uniform(0, m1.T)
             assert np.linalg.norm(delta_w(m1, t, e)) <= rho_bound(m1, t, e) + 1e-12
 
