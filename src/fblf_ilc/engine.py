@@ -81,10 +81,6 @@ class _Breach(Exception):
     """V reached the bound at a node or stage of the current interval."""
 
 
-def _identity(a):
-    return a
-
-
 def _item(a) -> float:
     # a float (as the built-ins return), a numpy scalar or a 1-element array
     if type(a) is float:
@@ -92,51 +88,55 @@ def _item(a) -> float:
     return a.item() if isinstance(a, np.ndarray) else float(a)
 
 
+def _put_float(a, i, x):
+    a[i, 0] = x
+
+
 class _Shape(NamedTuple):
     """The primitives through which one closed loop serves both shapes."""
-    wrap: Callable     # loop state -> the state a model callable receives
     unwrap: Callable   # a model's vector or matrix -> the loop's form
     dot: Callable      # inner product, as a float
     matvec: Callable   # matrix (in the loop's form) times vector
     clamp: Callable    # component-wise clamp to [-b, b]
     row: Callable      # row i of a 2-D array, in the loop's form
+    put: Callable      # a[i] = x, row(s) i of a 2-D array from the loop's form
+    rows: Callable     # the rows of a 2-D array as a list, in the loop's form
     zeros: Callable    # zero vector of a given length
 
 
 # n = m = 1: Python floats throughout.  numpy's one-term matmul and dot
 # add their product to 0.0, turning -0.0 into 0.0, and so do the float
-# dot and matvec; any other operation is the same on floats and arrays.
+# dot and matvec; any other operation is the same on floats and arrays
+# (the float clamp keeps NaN and -0.0 as numpy's minimum/maximum do).
 _FLOAT = _Shape(
-    wrap=_identity,
     unwrap=_item,
     dot=lambda a, b: 0.0 + a * b,
     matvec=lambda M, x: 0.0 + M * x,
-    clamp=lambda v, b: min(max(v, -b), b),
+    clamp=lambda v, b: -b if v < -b else (b if v > b else v),
     row=lambda a, i: a.item(i, 0),
+    put=_put_float,
+    rows=lambda a: a[:, 0].tolist(),
     zeros=lambda n: 0.0,
 )
 _ARRAY = _Shape(
-    wrap=_identity,
-    unwrap=_identity,
+    unwrap=lambda a: a,
     dot=lambda a, b: float(a @ b),
     matvec=operator.matmul,
     clamp=sat,
     row=operator.getitem,
+    put=operator.setitem,
+    rows=list,
     zeros=np.zeros,
 )
 
 
 class _Loop(NamedTuple):
-    """A model/theorem pair bound for the closed loop.
-
-    The state-dependent closures take the stage state twice: e in the
-    loop's shape, x as the model's callables receive it (the same object
-    in both shapes).
-    """
+    """A model/theorem pair bound for the closed loop; the state-dependent
+    closures take the stage state e in the loop's shape."""
     shape: _Shape
-    value: Callable    # (x, e, t) -> V, the constrained quantity
-    zvec: Callable     # (x, e, t, V) -> z, the learning signal
-    rhs: Callable      # (x, e, t, u, x_d) -> de/dt
+    value: Callable    # (e, t) -> V, the constrained quantity
+    zvec: Callable     # (e, t, V) -> z, the learning signal
+    rhs: Callable      # (e, t, u, x_d) -> de/dt
     blf: Callable      # V -> the monitor's barrier
     bound: float
 
@@ -158,8 +158,8 @@ def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
     form = FORMS[_THEOREM_KINDS[theorem]][0]
     d1 = FORMS[model.gain_kinds[theorem]][1]
 
-    def zvec(x, e, t, v):
-        return d1(v, bound) * grad(x, e, t)
+    def zvec(e, t, v):
+        return d1(v, bound) * grad(e, t)
 
     def blf(v):
         return scale * form(v, bound)
@@ -188,7 +188,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     if xd_table is None:
         xd_table = _xd_table(model, grid)
     shape, value, zvec, rhs, _, bound = _bind(model, config, theorem)
-    wrap, clamp, row = shape.wrap, shape.clamp, shape.row
+    clamp, row, put = shape.clamp, shape.row, shape.put
     gamma = config.gamma
     n, m = model.n, model.m
     robust = robust_term(config, shape.zeros(m), shape.dot)
@@ -196,6 +196,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     N, dt = grid.N, grid.dt
     nodes = grid.nodes
     times = nodes.tolist()
+    path = shape.rows(xd_table)
 
     tr = IterationTrace(
         k=k,
@@ -210,44 +211,51 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     rho = model.uncertainty.rho
 
     def probe(t, e):
-        x = wrap(e)
-        v = value(x, e, t)
+        v = value(e, t)
         if not v < bound:
             if not math.isfinite(v):
                 raise NonFiniteStateError(f"non-finite state at t={t}")
             raise _Breach
-        return x, v, zvec(x, e, t, v)
+        return v, zvec(e, t, v)
 
     def deriv(t, e, xd):
         # node i's estimate theta_hat is held across its interval
-        x, _, z = probe(t, e)
-        return rhs(x, e, t, -theta_hat - robust(z, rho(x, t)), xd)
+        z = probe(t, e)[1]
+        return rhs(e, t, -theta_hat - robust(z, rho(e, t)), xd)
 
+    # the node rows, written into the trace once the iteration ends
+    es, us, vs, ths = [], [], [], []
     e = shape.zeros(n)  # alignment: x_k(0) = x_d(0)
     half_dt = 0.5 * dt
     try:
         for i in range(N + 1):
             t = times[i]
-            x, v, z = probe(t, e)
-            _, theta_hat = update(i, z, gamma, clamp, row)
-            u = -theta_hat - robust(z, rho(x, t))
-            tr.e[i] = e
-            tr.u[i] = u
-            tr.V[i] = v
-            tr.theta_hat[i] = theta_hat
+            v, z = probe(t, e)
+            _, theta_hat = update(i, z, gamma, clamp, row, put)
+            u = -theta_hat - robust(z, rho(e, t))
+            es.append(e)
+            us.append(u)
+            vs.append(v)
+            ths.append(theta_hat)
             if i == N:
                 break
 
-            xdh = row(xd_table, 2 * i + 1)
+            xdh = path[2 * i + 1]
             th = t + half_dt
-            k1 = rhs(x, e, t, u, row(xd_table, 2 * i))
+            k1 = rhs(e, t, u, path[2 * i])
             k2 = deriv(th, e + half_dt * k1, xdh)
             k3 = deriv(th, e + half_dt * k2, xdh)
-            k4 = deriv(t + dt, e + dt * k3, row(xd_table, 2 * i + 2))
+            k4 = deriv(t + dt, e + dt * k3, path[2 * i + 2])
             e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except _Breach:
         tr.breach = True
         tr.breach_node = i
+    if vs:  # the rows from a breach on stay NaN
+        done = slice(0, len(vs))
+        put(tr.e, done, es)
+        put(tr.u, done, us)
+        tr.V[done] = vs
+        put(tr.theta_hat, done, ths)
     return tr
 
 
@@ -350,15 +358,15 @@ def write_trace_csv(result: RunResult, path):
                   + [f"theta_hat{j}" for j in range(m)] + ["breach"])
         wr.writerow(header)
         for tr in result.traces:
-            for i in range(len(tr.t)):
-                row = ([tr.k, repr(float(tr.t[i]))]
-                       + [repr(float(x)) for x in tr.e[i]]
-                       + [repr(float(x)) for x in tr.u[i]]
-                       + [repr(float(tr.V[i])), repr(float(tr.L[i]))]
-                       + [repr(float(x)) for x in tr.theta_hat[i]]
-                       + [int(tr.breach and tr.breach_node is not None
-                              and i >= tr.breach_node)])
-                wr.writerow(row)
+            # each column read once, as Python floats
+            cols = ([tr.t] + list(tr.e.T) + list(tr.u.T) + [tr.V, tr.L]
+                    + list(tr.theta_hat.T))
+            values = zip(*(map(repr, c.tolist()) for c in cols))
+            end = len(tr.t)
+            if tr.breach and tr.breach_node is not None:
+                end = tr.breach_node
+            wr.writerows([tr.k, *row, int(i >= end)]
+                         for i, row in enumerate(values))
 
 
 def write_summary_csv(result: RunResult, path):

@@ -55,17 +55,17 @@ class ParamMemory:
         self.theta_star = np.zeros((grid.N + 1, m))
 
     def update_node(self, i: int, z: np.ndarray | float, gamma: float,
-                    clamp=sat, row=operator.getitem):
+                    clamp=sat, row=operator.getitem, put=operator.setitem):
         """Apply the learning recursion at node i; returns (theta_star, theta_hat).
 
-        clamp and row (row i of theta_star) fix the shape z and the
-        results take: numpy rows by default, Python floats when the
-        engine runs an m = 1 model.
+        clamp, row and put (read and write row i of theta_star) fix the
+        shape z and the results take: numpy rows by default, Python
+        floats when the engine runs an m = 1 model.
         """
         if not 0 <= i <= self.grid.N:
             raise IndexError(f"node index {i} out of range [0, {self.grid.N}]")
         if not gamma > 0:
             raise ValueError("gamma must be positive")
         new = clamp(row(self.theta_star, i), self.bound) + gamma * z
-        self.theta_star[i] = new
+        put(self.theta_star, i, new)
         return new, clamp(new, self.bound)

@@ -74,21 +74,17 @@ class ErrorModelI:
 
     def loop_terms(self, shape):
         """The closed loop's (value, grad, rhs), in shape's primitives."""
-        wrap, unwrap, matvec = shape.wrap, shape.unwrap, shape.matvec
-        V, LgV = self.certificate.V, self.certificate.LgV
-        f, g, w = self.f, self.g, self.uncertainty.w
+        unwrap, matvec = shape.unwrap, shape.matvec
+        LgV, f, g, w = self.certificate.LgV, self.f, self.g, self.uncertainty.w
 
-        def value(x, e, t):
-            return V(x, t)
+        def grad(e, t):
+            return unwrap(LgV(e, t))
 
-        def grad(x, e, t):
-            return unwrap(LgV(x, t))
-
-        def rhs(x, e, t, u, xd):
+        def rhs(e, t, u, xd):
             # dw + theta collapses to w evaluated at the actual state
-            return unwrap(f(x, t)) + matvec(unwrap(g(x, t)),
-                                            u + unwrap(w(wrap(xd + e), t)))
-        return value, grad, rhs
+            return unwrap(f(e, t)) + matvec(unwrap(g(e, t)),
+                                            u + unwrap(w(xd + e, t)))
+        return self.certificate.V, grad, rhs
 
     def required_decrease(self, v, blf):
         return v  # V_{k-1}(T)
@@ -125,19 +121,19 @@ class ErrorModelII:
 
     def loop_terms(self, shape):
         """As ErrorModelI's, with P, A, b and B'P read in once."""
-        wrap, unwrap, matvec = shape.wrap, shape.unwrap, shape.matvec
+        unwrap, matvec = shape.unwrap, shape.matvec
         P, A, B = (unwrap(M) for M in (self.P, self.A, self.b))
         BtP = unwrap(self.b.T @ self.P)
         w, dot = self.uncertainty.w, shape.dot
 
-        def value(x, e, t):
+        def value(e, t):
             return dot(e, matvec(P, e))
 
-        def grad(x, e, t):
+        def grad(e, t):
             return matvec(BtP, e)
 
-        def rhs(x, e, t, u, xd):
-            return matvec(A, e) + matvec(B, u + unwrap(w(wrap(xd + e), t)))
+        def rhs(e, t, u, xd):
+            return matvec(A, e) + matvec(B, u + unwrap(w(xd + e, t)))
         return value, grad, rhs
 
     def required_decrease(self, v, blf):
@@ -149,22 +145,31 @@ class ErrorModelII:
 
 
 def float_native(model) -> bool:
-    """n = m = 1: the closed loop passes the model's callables (V, LgV, f,
-    g, w, rho) a Python float state, not an array; x_d returns arrays."""
+    """n = m = 1: the model's callables (V, LgV, f, g, w, rho) receive a
+    Python float state, not an array, in the closed loop, in theta_true
+    and delta_w and in the sampled checks; x_d returns arrays."""
     return model.n == model.m == 1
 
 
+def _desired(model, t: float) -> State:
+    """x_d(t) as the model's callables take a state."""
+    xd = np.asarray(model.x_d(t), dtype=float)
+    return xd.item() if float_native(model) else xd
+
+
 def theta_true(model, t: float) -> np.ndarray:
-    """Learnable part of the uncertainty, evaluated on the desired path.
+    """Learnable part of the uncertainty, evaluated on the desired path,
+    as an (m,) array.
 
     Monitor-only: the controller never sees this.
     """
-    return np.asarray(model.uncertainty.w(model.x_d(t), t), dtype=float)
+    return np.array(model.uncertainty.w(_desired(model, t), t), dtype=float,
+                    ndmin=1)
 
 
 def delta_w(model, t: float, e: State) -> np.ndarray:
     """Error-induced part of the uncertainty, w(x_d + e, t) - w(x_d, t)."""
-    xd = model.x_d(t)
+    xd = _desired(model, t)
     w = model.uncertainty.w
     return np.asarray(w(xd + e, t), dtype=float) - np.asarray(w(xd, t), dtype=float)
 

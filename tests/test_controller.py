@@ -17,7 +17,7 @@ def zvec(model, theorem, bound):
     cfg = ControllerConfig(mode=Mode.DISC, bound=bound, gamma=1.0,
                            theta_bar=1.0)
     loop = _bind(model, cfg, theorem)
-    return lambda e, V: loop.zvec(e, loop.shape.unwrap(e), 0.0, V)
+    return lambda e, V: loop.zvec(loop.shape.unwrap(e), 0.0, V)
 
 
 def z_model1(theorem, V, LgV, b_V):

@@ -97,7 +97,7 @@ class TestRunIteration:
         robust = robust_term(cfg, loop.shape.zeros(1), loop.shape.dot)
         for i, t in enumerate(tr.t):
             x = loop.shape.unwrap(tr.e[i])
-            s = robust(loop.zvec(x, x, t, tr.V[i]),
+            s = robust(loop.zvec(x, t, tr.V[i]),
                        model.uncertainty.rho(x, t))
             np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
@@ -381,6 +381,34 @@ class TestArrayForm:
             assert not np.array_equal(memory.theta_star[:tr.breach_node + 1],
                                       before[:tr.breach_node + 1])
 
+    # (model, bound, N, breach at the node itself): two breaches inside an
+    # integrator stage of interval breach_node, two at node breach_node
+    @pytest.mark.parametrize("name, bound, N, at_node",
+                             [("I", 0.01, 10, False), ("II", 0.2, 10, False),
+                              ("I", 0.0025, 10, True), ("II", 0.05, 10, True)])
+    def test_breach_leaves_later_rows_nan(self, name, bound, N, at_node):
+        for model in (FACTORIES[name](), lift(FACTORIES[name]())):
+            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
+            tr = run_iteration(model, disc_cfg(bound=bound), memory)
+            assert tr.breach and 0 < tr.breach_node < N
+            first = tr.breach_node if at_node else tr.breach_node + 1
+            for f in ("e", "u", "V", "theta_hat"):
+                rows = getattr(tr, f)
+                assert np.all(np.isfinite(rows[:first])), f
+                assert np.all(np.isnan(rows[first:])), f
+
+    def test_breach_at_first_node_leaves_every_row_nan(self):
+        # V(0, t) = 1 is past the bound 0.5 before any row is written
+        base = scalar_model_i()
+        model = dataclasses.replace(base, certificate=dataclasses.replace(
+            base.certificate, V=lambda e, t: 1.0 + 0.5 * (e * e)))
+        for each in (model, lift(model)):
+            memory = ParamMemory(TimeGrid(T=each.T, N=10), m=1, bound=1.0)
+            tr = run_iteration(each, disc_cfg(), memory)
+            assert tr.breach and tr.breach_node == 0
+            for f in ("e", "u", "V", "theta_hat"):
+                assert np.all(np.isnan(getattr(tr, f))), f
+
 
 SIGNED = [0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-200, -1e-200, 5e-324, 1e300]
 
@@ -403,17 +431,31 @@ class TestFloatShape:
                 assert same_bits(_FLOAT.matvec(a, b), matvec), (a, b)
 
     def test_clamp(self):
-        for v in SIGNED + [2.0, -2.0, math.nan]:
+        for v in SIGNED + [2.0, -2.0, math.inf, -math.inf, math.nan]:
             assert same_bits(_FLOAT.clamp(v, 1.0),
                              _ARRAY.clamp(np.array([v]), 1.0).item()), v
 
-    def test_wrap_and_unwrap(self):
-        # the model callables receive the loop's float itself, and may
-        # return a float, a numpy scalar or a one-element array
-        for x in SIGNED:
-            assert _FLOAT.wrap(x) is x
-        assert math.copysign(1.0, _FLOAT.wrap(-0.0)) == -1.0
+    def test_unwrap(self):
+        # the model callables may return a float, a numpy scalar or a
+        # one-element array; the loop reads each into a float
         for a, want in ((np.array([[2.5]]), 2.5), (np.array([1.0]), 1.0),
                         (np.float64(-1.5), -1.5), (-0.0, -0.0)):
             got = _FLOAT.unwrap(a)
             assert type(got) is float and same_bits(got, want), a
+
+    def test_put_and_rows(self):
+        # a column of floats written row by row or as one slice, and read
+        # back as a list, as the array form writes and reads (1,) rows
+        vals = SIGNED + [math.nan, -math.nan]
+        want = np.full((len(vals), 1), 7.0)
+        for i, x in enumerate(vals):
+            _ARRAY.put(want, i, np.array([x]))
+        by_row, by_slice = np.full_like(want, 7.0), np.full_like(want, 7.0)
+        for i, x in enumerate(vals):
+            _FLOAT.put(by_row, i, x)
+        _FLOAT.put(by_slice, slice(0, len(vals)), vals)
+        assert same_bits(by_row, want) and same_bits(by_slice, want)
+        got = _FLOAT.rows(want)
+        assert all(type(x) is float for x in got)
+        assert same_bits(got, [r.item() for r in _ARRAY.rows(want)])
+        assert same_bits(got, [_FLOAT.row(want, i) for i in range(len(vals))])

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fblf_ilc.controller import ControllerConfig, Mode
-from fblf_ilc.engine import _bind
-from fblf_ilc.plant import (check_certificate, check_uncertainty_bound,
-                            delta_w, lyapunov_residual, rho_bound,
-                            scalar_model_i, scalar_model_ii, theta_true)
+from fblf_ilc.engine import _bind, run
+from fblf_ilc.plant import (UncertaintySpec, check_certificate,
+                            check_uncertainty_bound, delta_w,
+                            lyapunov_residual, rho_bound, scalar_model_i,
+                            scalar_model_ii, theta_true)
 
 PI = math.pi
 
@@ -32,7 +34,7 @@ def rhs(model, t, e, u):
     cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
     loop = _bind(model, cfg, 1)
     unwrap = loop.shape.unwrap
-    return loop.rhs(e, unwrap(e), t, unwrap(u), unwrap(model.x_d(t)))
+    return loop.rhs(unwrap(e), t, unwrap(u), unwrap(model.x_d(t)))
 
 
 class TestRhsModel1:
@@ -55,7 +57,7 @@ class TestRhsModel1:
                                theta_bar=1.0)
         loop = _bind(m1, cfg, 1)
         with pytest.raises(ValueError):
-            loop.rhs(np.zeros(2), 0.0, 0.0, 0.0, 0.0)
+            loop.rhs(np.zeros(2), 0.0, 0.0, 0.0)
 
 
 class TestRhsModel2:
@@ -90,6 +92,21 @@ class TestUncertainty:
             e = rng.uniform(-10, 10, size=1).item()
             t = rng.uniform(0, m1.T)
             assert np.linalg.norm(delta_w(m1, t, e)) <= rho_bound(m1, t, e) + 1e-12
+
+    @pytest.mark.parametrize("factory", [scalar_model_i, scalar_model_ii])
+    def test_w_written_for_floats(self, factory):
+        # a float-native model's w gets a float everywhere, on the
+        # desired path too, so math.tanh serves as well as l_w * x
+        unc = UncertaintySpec(w=lambda x, t: 0.5 * math.tanh(x),
+                              rho=lambda e, t: 0.5 * abs(e))
+        model = dataclasses.replace(factory(), uncertainty=unc)
+        assert check_uncertainty_bound(model, n_samples=500)
+        assert theta_true(model, PI / 2).shape == (1,)
+        cfg = ControllerConfig(mode=Mode.DISC, bound=0.5, gamma=2.0,
+                               theta_bar=1.0)
+        result = run(model, cfg, K=2, N=50)
+        assert not result.any_breach
+        assert np.all(np.isfinite(result.traces[-1].L))
 
 
 class TestCertificate:
