@@ -199,7 +199,7 @@ class BlfReport:
         return out.getvalue()
 
 
-def blf_report(bounds, samples: int = 1000) -> BlfReport:
+def blf_report(bounds) -> BlfReport:
     """Verdict table for every asserted ordering relation and IBP probe."""
     if not bounds:
         raise ValueError("bounds must be nonempty")
@@ -209,8 +209,7 @@ def blf_report(bounds, samples: int = 1000) -> BlfReport:
             applicable = max_b is None or b <= max_b
             holds = None
             if applicable:
-                holds = verify_order(BarrierKind(lo), BarrierKind(hi), b,
-                                     samples).holds
+                holds = verify_order(BarrierKind(lo), BarrierKind(hi), b).holds
             rel_rows.append(RelationRow(lo, hi, float(b), applicable, holds))
     seq = default_bound_sequence()
     ibp_rows = []

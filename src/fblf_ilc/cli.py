@@ -5,7 +5,7 @@ Subcommands:
   compare-blf <b>...     ordering/IBP verdict table for given bounds
   check-lemmas <csv>     sequence-lemma verification on r,s[,d] columns
 
-Exit codes: 0 ok, 1 config/IO error, 2 constraint breach, 3 property
+Exit codes: 0 ok, 1 usage/config/IO error, 2 constraint breach, 3 property
 violation, 4 numerical failure.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, engine, svgplot
 from .controller import ControllerConfig, Mode
-from .plant import BUILTIN_MODELS
+from .plant import BUILTIN_MODELS, value_bound
 
 
 class ConfigError(Exception):
@@ -182,7 +182,7 @@ def _write_outputs(result: engine.RunResult, cfg: RunConfig, out_dir: Path,
                           [("sup V_k", [s.sup_V for s in result.summaries])],
                           title="constrained quantity per iteration",
                           xlabel="iteration k", ylabel="sup V",
-                          hline=cfg.bound ** result.model.bound_power)
+                          hline=value_bound(result.model, cfg.bound))
 
 
 def cmd_simulate(args) -> int:
@@ -263,19 +263,19 @@ def cmd_check_lemmas(args) -> int:
             rows = list(csv.DictReader(fh))
         if not rows or "r" not in rows[0] or "s" not in rows[0]:
             raise ValueError("CSV must have columns r,s[,d]")
-        r = np.array([float(row["r"]) for row in rows])
-        s = np.array([float(row["s"]) for row in rows])
         d = None
         if "d" in rows[0] and rows[0]["d"] is not None:
-            d = np.array([float(row["d"]) for row in rows])
+            d = [float(row["d"]) for row in rows]
+        seq = analysis.SequenceTriple([float(row["r"]) for row in rows],
+                                      [float(row["s"]) for row in rows], d)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return 1
-    if d is None:
-        verdict = analysis.lemma1_check(analysis.SequenceTriple(r, s))
+    if seq.d is None:
+        verdict = analysis.lemma1_check(seq)
         which = "lemma 1 (no residual)"
     else:
-        verdict = analysis.lemma2_check(analysis.SequenceTriple(r, s, d))
+        verdict = analysis.lemma2_check(seq)
         which = "lemma 2 (with residual)"
     print(f"{which}: inequality "
           f"{'holds' if verdict.inequality_holds else 'VIOLATED'}"
@@ -310,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return 1 if exc.code == 2 else exc.code
     return args.fn(args)
 
 

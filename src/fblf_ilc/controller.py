@@ -25,7 +25,7 @@ class Mode(Enum):
 @dataclass(frozen=True)
 class ControllerConfig:
     mode: Mode
-    bound: float          # b_V or b_e: the model's bound_key, ** bound_power
+    bound: float          # b_V or b_e; plant.value_bound gives V's bound
     gamma: float
     theta_bar: float
     eps: float | None = None

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import plant
-from .barrier import FORMS, BarrierKind
+from .barrier import FORMS
 from .controller import ControllerConfig, robust_term
 from .learner import ParamMemory, TimeGrid, sat
 
@@ -43,8 +43,11 @@ class IterationTrace:
     V: np.ndarray        # (N+1,)  constrained quantity: V(e,t) or e'Pe
     theta_hat: np.ndarray  # (N+1, m)
     L: np.ndarray        # (N+1,)  filled by monitor_L
-    breach: bool = False
     breach_node: int | None = None
+
+    @property
+    def breach(self) -> bool:
+        return self.breach_node is not None
 
     @property
     def valid(self) -> slice:
@@ -100,7 +103,6 @@ class _Shape(NamedTuple):
     clamp: Callable    # component-wise clamp to [-b, b]
     row: Callable      # row i of a 2-D array, in the loop's form
     put: Callable      # a[i] = x, row(s) i of a 2-D array from the loop's form
-    rows: Callable     # the rows of a 2-D array as a list, in the loop's form
     zeros: Callable    # zero vector of a given length
 
 
@@ -115,7 +117,6 @@ _FLOAT = _Shape(
     clamp=lambda v, b: -b if v < -b else (b if v > b else v),
     row=lambda a, i: a.item(i, 0),
     put=_put_float,
-    rows=lambda a: a[:, 0].tolist(),
     zeros=lambda n: 0.0,
 )
 _ARRAY = _Shape(
@@ -125,7 +126,6 @@ _ARRAY = _Shape(
     clamp=sat,
     row=operator.getitem,
     put=operator.setitem,
-    rows=list,
     zeros=np.zeros,
 )
 
@@ -137,40 +137,37 @@ class _Loop(NamedTuple):
     value: Callable    # (e, t) -> V, the constrained quantity
     zvec: Callable     # (e, t, V) -> z, the learning signal
     rhs: Callable      # (e, t, u, x_d) -> de/dt
-    blf: Callable      # V -> the monitor's barrier
     bound: float
-
-
-# theorem -> the monitor's barrier kind (the model type names the gain's)
-_THEOREM_KINDS = {1: BarrierKind.FII, 2: BarrierKind.FV}
 
 
 def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
     """The model type's constraint terms bound for the closed loop, on
     Python floats for n = m = 1 and on numpy arrays otherwise.  The
     learning signal is z = d1(V, bound) * grad, d1 of the gain kind."""
-    if theorem not in _THEOREM_KINDS:
-        raise ValueError("theorem must be 1 or 2")
+    if theorem not in model.barrier_kinds:
+        raise ValueError(f"theorem must be one of {sorted(model.barrier_kinds)}")
     shape = _FLOAT if plant.float_native(model) else _ARRAY
     value, grad, rhs = model.loop_terms(shape)
-    bound = config.bound ** model.bound_power
-    scale = model.barrier_scale
-    form = FORMS[_THEOREM_KINDS[theorem]][0]
-    d1 = FORMS[model.gain_kinds[theorem]][1]
+    bound = plant.value_bound(model, config.bound)
+    d1 = FORMS[model.barrier_kinds[theorem][0]][1]
 
     def zvec(e, t, v):
         return d1(v, bound) * grad(e, t)
 
-    def blf(v):
-        return scale * form(v, bound)
-
-    return _Loop(shape, value, zvec, rhs, blf, bound)
+    return _Loop(shape, value, zvec, rhs, bound)
 
 
-def _xd_table(model, grid: TimeGrid) -> np.ndarray:
-    """Desired trajectory sampled at nodes and interval midpoints."""
+def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
+    """V -> the monitor's barrier, of the model type's monitor kind."""
+    form = FORMS[model.barrier_kinds[theorem][1]][0]
+    bound = plant.value_bound(model, config.bound)
+    return lambda v: model.barrier_scale * form(v, bound)
+
+
+def _xd_table(model, grid: TimeGrid) -> list:
+    """x_d at the nodes and interval midpoints, as the loop takes a state."""
     half = np.linspace(0.0, grid.T, 2 * grid.N + 1)
-    return np.stack([np.asarray(model.x_d(t), dtype=float) for t in half])
+    return [plant._desired(model, t) for t in half]
 
 
 def _theta_table(model, nodes: np.ndarray) -> np.ndarray:
@@ -180,14 +177,14 @@ def _theta_table(model, nodes: np.ndarray) -> np.ndarray:
 
 def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
                   theorem: int = 1, k: int = 0,
-                  xd_table: np.ndarray | None = None) -> IterationTrace:
+                  xd_table: list | None = None) -> IterationTrace:
     """Run one iteration of the closed loop, updating memory in place."""
     grid = memory.grid
     if abs(grid.T - model.T) > 1e-9:
         raise ValueError("memory grid horizon does not match model horizon")
     if xd_table is None:
         xd_table = _xd_table(model, grid)
-    shape, value, zvec, rhs, _, bound = _bind(model, config, theorem)
+    shape, value, zvec, rhs, bound = _bind(model, config, theorem)
     clamp, row, put = shape.clamp, shape.row, shape.put
     gamma = config.gamma
     n, m = model.n, model.m
@@ -196,7 +193,6 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     N, dt = grid.N, grid.dt
     nodes = grid.nodes
     times = nodes.tolist()
-    path = shape.rows(xd_table)
 
     tr = IterationTrace(
         k=k,
@@ -240,15 +236,14 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             if i == N:
                 break
 
-            xdh = path[2 * i + 1]
+            xdh = xd_table[2 * i + 1]
             th = t + half_dt
-            k1 = rhs(e, t, u, path[2 * i])
+            k1 = rhs(e, t, u, xd_table[2 * i])
             k2 = deriv(th, e + half_dt * k1, xdh)
             k3 = deriv(th, e + half_dt * k2, xdh)
-            k4 = deriv(t + dt, e + dt * k3, path[2 * i + 2])
+            k4 = deriv(t + dt, e + dt * k3, xd_table[2 * i + 2])
             e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except _Breach:
-        tr.breach = True
         tr.breach_node = i
     if vs:  # the rows from a breach on stay NaN
         done = slice(0, len(vs))
@@ -270,7 +265,7 @@ def monitor_L(trace: IterationTrace, model, config: ControllerConfig,
     learning gain of config.  NaN past a breach.  theta_table, theta at
     every node, is computed when not given.
     """
-    blf = _bind(model, config, theorem).blf
+    blf = _blf(model, config, theorem)
     sel = trace.valid
     if not sel.stop:
         return trace.L
@@ -331,7 +326,7 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     scheme adds an eps*T allowance.
     """
     model, config, theorem = result.model, result.config, result.theorem
-    blf = _bind(model, config, theorem).blf
+    blf = _blf(model, config, theorem)
     residual = (config.eps or 0.0) * result.grid.T if theorem == 2 else 0.0
     verdicts = []
     for k in range(1, len(result.traces)):
@@ -362,9 +357,7 @@ def write_trace_csv(result: RunResult, path):
             cols = ([tr.t] + list(tr.e.T) + list(tr.u.T) + [tr.V, tr.L]
                     + list(tr.theta_hat.T))
             values = zip(*(map(repr, c.tolist()) for c in cols))
-            end = len(tr.t)
-            if tr.breach and tr.breach_node is not None:
-                end = tr.breach_node
+            end = tr.valid.stop
             wr.writerows([tr.k, *row, int(i >= end)]
                          for i, row in enumerate(values))
 

@@ -10,8 +10,8 @@ theta(t) = w(x_d(t), t) is iteration-independent and learnable, while
 dw = w(x_d + e, t) - w(x_d, t) vanishes with the error and is only
 norm-bounded by a user-supplied rho(e, t).
 
-Each model type carries its constraint: bound, barrier scale, gain kind
-per theorem, closed-loop terms, required decrease and error radius.
+Each model type carries its constraint: bound, barrier scale, barrier
+kinds per theorem, closed-loop terms, required decrease and error radius.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ class ErrorModelI:
     bound_key: ClassVar[str] = "b_V"
     bound_power: ClassVar[int] = 1
     barrier_scale: ClassVar[float] = 1.0
-    gain_kinds: ClassVar[dict] = {1: BarrierKind.FII, 2: BarrierKind.FV}
+    # theorem -> (gain kind, monitor kind)
+    barrier_kinds: ClassVar[dict] = {1: (BarrierKind.FII, BarrierKind.FII),
+                                     2: (BarrierKind.FV, BarrierKind.FV)}
 
     def loop_terms(self, shape):
         """The closed loop's (value, grad, rhs), in shape's primitives."""
@@ -109,7 +111,8 @@ class ErrorModelII:
     bound_key: ClassVar[str] = "b_e"
     bound_power: ClassVar[int] = 2
     barrier_scale: ClassVar[float] = 0.5
-    gain_kinds: ClassVar[dict] = {1: BarrierKind.FI, 2: BarrierKind.FV}
+    barrier_kinds: ClassVar[dict] = {1: (BarrierKind.FI, BarrierKind.FII),
+                                     2: (BarrierKind.FV, BarrierKind.FV)}
 
     @property
     def n(self) -> int:
@@ -144,6 +147,11 @@ class ErrorModelII:
         return math.sqrt(bound / float(np.min(np.linalg.eigvalsh(self.P))))
 
 
+def value_bound(model, bound: float) -> float:
+    """The bound on V, from the value of the model type's bound_key."""
+    return bound ** model.bound_power
+
+
 def float_native(model) -> bool:
     """n = m = 1: the model's callables (V, LgV, f, g, w, rho) receive a
     Python float state, not an array, in the closed loop, in theta_true
@@ -153,7 +161,7 @@ def float_native(model) -> bool:
 
 def _desired(model, t: float) -> State:
     """x_d(t) as the model's callables take a state."""
-    xd = np.asarray(model.x_d(t), dtype=float)
+    xd = np.array(model.x_d(t), dtype=float)  # a copy: the path keeps it
     return xd.item() if float_native(model) else xd
 
 
@@ -184,16 +192,16 @@ def lyapunov_residual(model: ErrorModelII) -> float:
     return float(np.linalg.norm(model.A.T @ model.P + model.P @ model.A + model.Q))
 
 
-def check_certificate(model: ErrorModelI, n_samples: int = 10000) -> bool:
+def check_certificate(model: ErrorModelI) -> bool:
     """Sample-validate the certificate bracketing and dissipation bounds.
 
-    Errors are drawn from the box [-10, 10]^n with a fixed seed, as State.
+    Draws 10^4 errors, as State, from the box [-10, 10]^n with a fixed seed.
     """
     rng = np.random.default_rng(0)
     cert = model.certificate
     tol = 1e-9
     size = None if float_native(model) else model.n
-    for _ in range(n_samples):
+    for _ in range(10_000):
         e = rng.uniform(-10.0, 10.0, size=size)
         t = rng.uniform(0.0, model.T)
         r = float(np.linalg.norm(e))
@@ -205,14 +213,14 @@ def check_certificate(model: ErrorModelI, n_samples: int = 10000) -> bool:
     return True
 
 
-def check_uncertainty_bound(model, n_samples: int = 10000) -> bool:
+def check_uncertainty_bound(model) -> bool:
     """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0.
 
-    Errors are drawn from the box [-10, 10]^n with a fixed seed, as State.
+    Draws 10^4 errors, as State, from the box [-10, 10]^n with a fixed seed.
     """
     rng = np.random.default_rng(1)
     size = None if float_native(model) else model.n
-    for _ in range(n_samples):
+    for _ in range(10_000):
         e = rng.uniform(-10.0, 10.0, size=size)
         t = rng.uniform(0.0, model.T)
         if np.linalg.norm(delta_w(model, t, e)) > rho_bound(model, t, e) + 1e-9:

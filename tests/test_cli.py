@@ -268,3 +268,26 @@ class TestCheckLemmas:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["check-lemmas", str(tmp_path / "absent.csv")]) == 1
+
+    @pytest.mark.parametrize("first", ["nan", "inf"])
+    def test_nonfinite_first_r_exit_1(self, tmp_path, capsys, first):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text(f"r,s\n{first},1.0\n1.0,1.0\n")
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: malformed CSV: r[0] must be finite" in err
+        assert "Traceback" not in err
+
+
+class TestUsage:
+    # argparse exits 2 on a usage error, the code of a constraint breach
+    @pytest.mark.parametrize("argv", [["compare-blf", "abc"], ["simulate"],
+                                      [], ["bogus"]])
+    def test_usage_error_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: fblf-ilc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: fblf-ilc" in capsys.readouterr().out

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, check_delta_L, monitor_L,
-                             run, run_iteration, write_summary_csv,
+from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, _xd_table, check_delta_L,
+                             monitor_L, run, run_iteration, write_summary_csv,
                              write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
-                            scalar_model_i, scalar_model_ii)
+                            scalar_model_i, scalar_model_ii, value_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +54,15 @@ def replace_callables(model, wrap):
                           cert, V=wrap("V", cert.V),
                           LgV=wrap("LgV", cert.LgV)))
     return dataclasses.replace(model, **fields)
+
+
+# the return forms a float-native model's callables may use besides a
+# float: V and rho return a float or a numpy scalar, and LgV, f, g and w
+# may also return a one-element array
+RETURNS = {"numpy-scalar": np.float64,
+           "one-element-array": lambda y: np.array([y])}
+CONTRACT = ([(f, "numpy-scalar") for f in ("V", "LgV", "f", "g", "w", "rho")]
+            + [(f, "one-element-array") for f in ("LgV", "f", "g", "w")])
 
 
 class TestRunIteration:
@@ -145,6 +154,30 @@ class TestRunIteration:
         fields = (("V", "LgV", "f", "g", "w", "rho") if name == "I"
                   else ("w", "rho"))
         assert seen == {(field, float) for field in fields}
+
+    @pytest.mark.parametrize("field, form", CONTRACT)
+    def test_callable_return_forms(self, field, form):
+        # each return form the contract allows gives the built-in's run,
+        # whose callables return floats, bit for bit
+        def returning(name, fn):
+            if name != field:
+                return fn
+            return lambda x, t: RETURNS[form](fn(x, t))
+
+        model = replace_callables(scalar_model_i(), returning)
+        want = run(scalar_model_i(), disc_cfg(), K=3, N=50)
+        got = run(model, disc_cfg(), K=3, N=50)
+        for a, b in zip(want.traces, got.traces):
+            for f in ("e", "u", "V", "theta_hat", "L"):
+                assert same_bits(getattr(a, f), getattr(b, f)), f
+        assert same_bits([dataclasses.astuple(s) for s in want.summaries],
+                         [dataclasses.astuple(s) for s in got.summaries])
+
+    def test_theorem_outside_the_model_types_table_rejected(self):
+        model = scalar_model_i()
+        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=1, bound=1.0)
+        with pytest.raises(ValueError, match="theorem"):
+            run_iteration(model, disc_cfg(), memory, theorem=3)
 
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()
@@ -243,7 +276,7 @@ class TestRunProperties:
                                gamma=gamma, theta_bar=theta_bar,
                                eps=eps if mode is Mode.CONT else None)
         result = run(model, cfg, K=3, N=N, theorem=theorem)
-        bound = cfg.bound ** model.bound_power
+        bound = value_bound(model, cfg.bound)
         for tr in result.traces:
             assert tr.breach == (tr.breach_node is not None)
             sel = tr.valid
@@ -354,10 +387,9 @@ class TestArrayForm:
             for f in ("u", "V", "theta_hat", "L"):
                 assert np.array_equal(getattr(a, f), getattr(b, f),
                                       equal_nan=True), f
-        # every summary field but the wall time
         assert np.array_equal(
-            [dataclasses.astuple(s)[:-1] for s in scalar.summaries],
-            [dataclasses.astuple(s)[:-1] for s in lifted.summaries],
+            [dataclasses.astuple(s) for s in scalar.summaries],
+            [dataclasses.astuple(s) for s in lifted.summaries],
             equal_nan=True)
         assert np.array_equal(scalar.memory.theta_star,
                               lifted.memory.theta_star)
@@ -443,9 +475,9 @@ class TestFloatShape:
             got = _FLOAT.unwrap(a)
             assert type(got) is float and same_bits(got, want), a
 
-    def test_put_and_rows(self):
+    def test_put_and_row(self):
         # a column of floats written row by row or as one slice, and read
-        # back as a list, as the array form writes and reads (1,) rows
+        # back row by row, as the array form writes and reads (1,) rows
         vals = SIGNED + [math.nan, -math.nan]
         want = np.full((len(vals), 1), 7.0)
         for i, x in enumerate(vals):
@@ -455,7 +487,32 @@ class TestFloatShape:
             _FLOAT.put(by_row, i, x)
         _FLOAT.put(by_slice, slice(0, len(vals)), vals)
         assert same_bits(by_row, want) and same_bits(by_slice, want)
-        got = _FLOAT.rows(want)
+        got = [_FLOAT.row(want, i) for i in range(len(vals))]
         assert all(type(x) is float for x in got)
-        assert same_bits(got, [r.item() for r in _ARRAY.rows(want)])
-        assert same_bits(got, [_FLOAT.row(want, i) for i in range(len(vals))])
+        assert same_bits(got, [_ARRAY.row(want, i).item()
+                               for i in range(len(vals))])
+
+    @pytest.mark.parametrize("name", ["I", "II"])
+    def test_desired_path_in_the_loops_form(self, name):
+        # x_d at nodes and midpoints: floats for the built-in, (2,) arrays
+        # for its lift, with the same bits in the first state
+        grid = TimeGrid(T=TWO_PI, N=20)
+        path = _xd_table(FACTORIES[name](), grid)
+        lifted = _xd_table(lift(FACTORIES[name]()), grid)
+        assert len(path) == len(lifted) == 2 * grid.N + 1
+        assert all(type(x) is float for x in path)
+        assert all(x.shape == (2,) for x in lifted)
+        assert same_bits(path, [x[0] for x in lifted])
+
+    def test_desired_path_copies_a_reused_array(self):
+        # an x_d that refills and returns one array gives the same path
+        base = lift(scalar_model_i())
+        buf = np.zeros(2)
+
+        def refilled(t):
+            buf[:] = base.x_d(t)
+            return buf
+
+        grid = TimeGrid(T=TWO_PI, N=20)
+        reused = dataclasses.replace(base, x_d=refilled)
+        assert same_bits(_xd_table(reused, grid), _xd_table(base, grid))
