@@ -39,6 +39,10 @@ class SequenceTriple:
             raise ValueError("r and s must have equal lengths")
         if not math.isfinite(r[0]):
             raise ValueError("r[0] must be finite")
+        for name, a in (("r", r), ("s", s), ("d", self.d)):
+            # +-inf past r[0] is data (r_bounded reports it), NaN is not
+            if a is not None and np.isnan(a).any():
+                raise ValueError(f"{name}[{np.isnan(a).argmax()}] is NaN")
 
 
 @dataclass(frozen=True)

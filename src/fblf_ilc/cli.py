@@ -34,8 +34,6 @@ _CONFIG_KEYS = {
     "theorem": int,
     "mode": str,
     "eps": float,
-    "b_V": float,
-    "b_e": float,
     "gamma": float,
     "theta_bar": float,
     "K": int,
@@ -57,7 +55,7 @@ _DEFAULTS = {
     "allow_disc_thm2": False,
 }
 
-_POSITIVE = ("eps", "b_V", "b_e", "gamma", "theta_bar", "K", "N", "T")
+_POSITIVE = ("eps", "gamma", "theta_bar", "K", "N", "T")
 
 
 @dataclass
@@ -90,6 +88,8 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    models = {name: factory() for name, factory in BUILTIN_MODELS.items()}
+    bound_keys = [m.bound_key for m in models.values()]
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -98,9 +98,9 @@ def parse_config(path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        typ = float if key in bound_keys else _CONFIG_KEYS.get(key)
+        if typ is None:
             raise ConfigError(f"{path}:{lineno}: unknown field '{key}'")
-        typ = _CONFIG_KEYS[key]
         try:
             values[key] = _parse_bool(raw) if typ is bool else typ(raw)
         except ValueError:
@@ -113,17 +113,20 @@ def parse_config(path) -> RunConfig:
         values.setdefault(key, default)
 
     model = values.get("model")
-    if model not in BUILTIN_MODELS:
+    if model not in models:
         raise ConfigError(f"field 'model' must be one of "
-                          f"{sorted(BUILTIN_MODELS)}, got {model!r}")
-    for key in _POSITIVE:
+                          f"{sorted(models)}, got {model!r}")
+    bound_key = models[model].bound_key
+    kinds = models[model].barrier_kinds
+    for key in _POSITIVE + (bound_key,):
         if key in values and not values[key] > 0:
             raise ConfigError(f"field '{key}' must be positive, got {values[key]}")
     if values["N"] < 2:
         raise ConfigError(f"field 'N' must be >= 2, got {values['N']}")
     theorem = values["theorem"]
-    if theorem not in (1, 2):
-        raise ConfigError(f"field 'theorem' must be 1 or 2, got {theorem}")
+    if theorem not in kinds:
+        raise ConfigError(f"field 'theorem' must be one of {sorted(kinds)}, "
+                          f"got {theorem}")
     mode = values["mode"]
     if mode not in ("disc", "cont"):
         raise ConfigError(f"field 'mode' must be 'disc' or 'cont', got {mode!r}")
@@ -133,8 +136,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("field 'mode' must be 'cont' for theorem 2 "
                           "(set allow_disc_thm2 = true to override)")
 
-    bound_key = BUILTIN_MODELS[model]().bound_key
-    for key in ("b_V", "b_e"):
+    for key in bound_keys:
         if key != bound_key and key in values:
             raise ConfigError(f"field '{key}' does not apply to model {model}")
     if bound_key not in values:
@@ -167,22 +169,21 @@ def _run_one(cfg: RunConfig) -> engine.RunResult:
     return engine.run(model, ctl_cfg, K=cfg.K, N=cfg.N, theorem=cfg.theorem)
 
 
-def _write_outputs(result: engine.RunResult, cfg: RunConfig, out_dir: Path,
-                   svg: bool) -> None:
+def _write_outputs(result: engine.RunResult, out_dir: Path, svg: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_trace_csv(result, out_dir / "trace.csv")
     engine.write_summary_csv(result, out_dir / "summary.csv")
     if svg:
         ks = [s.k for s in result.summaries]
-        svgplot.line_plot(out_dir / "convergence.svg", ks,
-                          [("sup|e_k|", [s.sup_e for s in result.summaries])],
+        svgplot.line_plot(out_dir / "convergence.svg", ks, "sup|e_k|",
+                          [s.sup_e for s in result.summaries],
                           title="tracking error per iteration",
                           xlabel="iteration k", ylabel="sup |e|", ylog=True)
-        svgplot.line_plot(out_dir / "constraint.svg", ks,
-                          [("sup V_k", [s.sup_V for s in result.summaries])],
+        svgplot.line_plot(out_dir / "constraint.svg", ks, "sup V_k",
+                          [s.sup_V for s in result.summaries],
                           title="constrained quantity per iteration",
                           xlabel="iteration k", ylabel="sup V",
-                          hline=value_bound(result.model, cfg.bound))
+                          hline=value_bound(result.model, result.config.bound))
 
 
 def cmd_simulate(args) -> int:
@@ -218,7 +219,7 @@ def cmd_simulate(args) -> int:
             codes.append(4)
             continue
         try:
-            _write_outputs(result, cfg, out_dir, svg)
+            _write_outputs(result, out_dir, svg)
         except OSError as exc:
             print(f"error: {cfg_path}: cannot write output: {exc}",
                   file=sys.stderr)

@@ -140,16 +140,21 @@ class _Loop(NamedTuple):
     bound: float
 
 
+def _kinds(model, theorem: int) -> tuple:
+    """(gain kind, monitor kind) under theorem, from the model type's table."""
+    if theorem not in model.barrier_kinds:
+        raise ValueError(f"theorem must be one of {sorted(model.barrier_kinds)}")
+    return model.barrier_kinds[theorem]
+
+
 def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
     """The model type's constraint terms bound for the closed loop, on
     Python floats for n = m = 1 and on numpy arrays otherwise.  The
     learning signal is z = d1(V, bound) * grad, d1 of the gain kind."""
-    if theorem not in model.barrier_kinds:
-        raise ValueError(f"theorem must be one of {sorted(model.barrier_kinds)}")
     shape = _FLOAT if plant.float_native(model) else _ARRAY
     value, grad, rhs = model.loop_terms(shape)
     bound = plant.value_bound(model, config.bound)
-    d1 = FORMS[model.barrier_kinds[theorem][0]][1]
+    d1 = FORMS[_kinds(model, theorem)[0]][1]
 
     def zvec(e, t, v):
         return d1(v, bound) * grad(e, t)
@@ -159,7 +164,7 @@ def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
 
 def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
     """V -> the monitor's barrier, of the model type's monitor kind."""
-    form = FORMS[model.barrier_kinds[theorem][1]][0]
+    form = FORMS[_kinds(model, theorem)[1]][0]
     bound = plant.value_bound(model, config.bound)
     return lambda v: model.barrier_scale * form(v, bound)
 
@@ -196,7 +201,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
     tr = IterationTrace(
         k=k,
-        t=nodes.copy(),
+        t=nodes,
         e=np.full((N + 1, n), np.nan),
         u=np.full((N + 1, m), np.nan),
         V=np.full(N + 1, np.nan),

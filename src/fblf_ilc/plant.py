@@ -182,11 +182,6 @@ def delta_w(model, t: float, e: State) -> np.ndarray:
     return np.asarray(w(xd + e, t), dtype=float) - np.asarray(w(xd, t), dtype=float)
 
 
-def rho_bound(model, t: float, e: State) -> float:
-    """Norm bound on delta_w; zero at zero error."""
-    return float(model.uncertainty.rho(e, t))
-
-
 def lyapunov_residual(model: ErrorModelII) -> float:
     """|| A'P + PA + Q ||, which should vanish for a valid pair."""
     return float(np.linalg.norm(model.A.T @ model.P + model.P @ model.A + model.Q))
@@ -219,13 +214,14 @@ def check_uncertainty_bound(model) -> bool:
     Draws 10^4 errors, as State, from the box [-10, 10]^n with a fixed seed.
     """
     rng = np.random.default_rng(1)
+    rho = model.uncertainty.rho
     size = None if float_native(model) else model.n
     for _ in range(10_000):
         e = rng.uniform(-10.0, 10.0, size=size)
         t = rng.uniform(0.0, model.T)
-        if np.linalg.norm(delta_w(model, t, e)) > rho_bound(model, t, e) + 1e-9:
+        if np.linalg.norm(delta_w(model, t, e)) > rho(e, t) + 1e-9:
             return False
-        if rho_bound(model, t, 0.0 if size is None else np.zeros(size)) != 0.0:
+        if rho(0.0 if size is None else np.zeros(size), t) != 0.0:
             return False
     return True
 

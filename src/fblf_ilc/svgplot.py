@@ -1,8 +1,7 @@
 """Minimal static SVG line plots (no plotting dependency).
 
-Good enough for per-iteration convergence and constraint figures:
-one or more series over a shared x axis, optional log-scale y and a
-horizontal reference line.
+Good enough for per-iteration convergence and constraint figures: one
+series, optional log-scale y and a horizontal reference line.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ import math
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+_COLOR = "#1f77b4"
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -31,21 +31,16 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return ticks
 
 
-def line_plot(path, x, series, title="", xlabel="", ylabel="",
+def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
               ylog=False, hline=None):
-    """Write an SVG line chart.
+    """Write an SVG line chart of the series ys over x, labelled label.
 
-    series: list of (label, y-values) pairs; non-finite and (for log
-    scale) non-positive points are dropped per series.
+    Non-finite and (for log scale) non-positive points are dropped.
     """
     x = [float(v) for v in x]
-    clean = []
-    for label, ys in series:
-        pts = [(xi, float(yi)) for xi, yi in zip(x, ys)
-               if math.isfinite(float(yi)) and (not ylog or float(yi) > 0)]
-        if pts:
-            clean.append((label, pts))
-    all_y = [yi for _, pts in clean for _, yi in pts]
+    pts = [(xi, float(yi)) for xi, yi in zip(x, ys)
+           if math.isfinite(float(yi)) and (not ylog or float(yi) > 0)]
+    all_y = [yi for _, yi in pts]
     if hline is not None and (not ylog or hline > 0):
         all_y.append(float(hline))
     if not all_y:
@@ -65,7 +60,6 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
     def Y(v):
         return _MT + ph - (tf(v) - ylo) / (yhi - ylo) * ph
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -83,11 +77,11 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
                      f'font-size="11">{tv:g}</text>')
     for tv in _ticks(ylo, yhi):
         yv = _MT + ph - (tv - ylo) / (yhi - ylo) * ph
-        label = f"{10 ** tv if ylog else tv:g}"
+        tick = f"{10 ** tv if ylog else tv:g}"
         parts.append(f'<line x1="{_ML - 5}" y1="{yv:.1f}" x2="{_ML}" '
                      f'y2="{yv:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{yv + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{label}</text>')
+                     f'font-family="sans-serif" font-size="11">{tick}</text>')
     if xlabel:
         parts.append(f'<text x="{_ML + pw / 2}" y="{_H - 10}" '
                      f'text-anchor="middle" font-family="sans-serif" '
@@ -99,14 +93,13 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="",
     if hline is not None and (not ylog or hline > 0):
         parts.append(f'<line x1="{_ML}" y1="{Y(hline):.1f}" x2="{_ML + pw}" '
                      f'y2="{Y(hline):.1f}" stroke="#888" stroke-dasharray="6 4"/>')
-    for ci, (label, pts) in enumerate(clean):
-        color = colors[ci % len(colors)]
+    if pts:
         d = " ".join(f"{X(xi):.2f},{Y(yi):.2f}" for xi, yi in pts)
-        parts.append(f'<polyline fill="none" stroke="{color}" '
+        parts.append(f'<polyline fill="none" stroke="{_COLOR}" '
                      f'stroke-width="1.5" points="{d}"/>')
-        parts.append(f'<text x="{_ML + pw - 6}" y="{_MT + 16 + 14 * ci}" '
+        parts.append(f'<text x="{_ML + pw - 6}" y="{_MT + 16}" '
                      f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="11" fill="{color}">{label}</text>')
+                     f'font-size="11" fill="{_COLOR}">{label}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))

@@ -1,10 +1,12 @@
+import dataclasses
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from fblf_ilc import engine, svgplot
+from fblf_ilc import engine, plant, svgplot
 from fblf_ilc.cli import main, parse_config, ConfigError
+from fblf_ilc.controller import ControllerConfig, Mode
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -32,6 +34,19 @@ class TestConfigParsing:
         assert cfg.model == "scalar-I"
         assert cfg.K == 4
         assert cfg.bound == 0.5
+        # the reads and builds of the benchmark's setup probe (setup_s)
+        for model, key, value in (("scalar-I", "b_V", 0.5),
+                                  ("scalar-II", "b_e", 1.0)):
+            body = (GOOD_CONFIG.replace("model = scalar-I", f"model = {model}")
+                    .replace("b_V = 0.5", f"{key} = {value}")
+                    .replace("mode = disc", "mode = cont\neps = 0.01"))
+            rc = parse_config(write_config(tmp_path, body, f"{model}.cfg"))
+            ctl = ControllerConfig(mode=Mode(rc.mode), bound=rc.bound,
+                                   gamma=rc.gamma, theta_bar=rc.theta_bar,
+                                   eps=rc.eps)
+            assert ctl == ControllerConfig(mode=Mode.CONT, bound=value,
+                                           gamma=2.0, theta_bar=1.0, eps=0.01)
+            assert plant.BUILTIN_MODELS[rc.model]().bound_key == key
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -71,6 +86,65 @@ class TestConfigParsing:
         path = write_config(tmp_path, body)
         with pytest.raises(ConfigError, match="b_V"):
             parse_config(path)
+
+
+class BoundW(plant.ErrorModelI):
+    bound_key = "b_W"
+
+
+class OneTheorem(plant.ErrorModelI):
+    barrier_kinds = {1: plant.ErrorModelI.barrier_kinds[1]}
+
+
+def built_as(cls):
+    """A factory of the scalar-I built-in, as an instance of cls."""
+    model = plant.scalar_model_i()
+    return lambda: cls(**{f.name: getattr(model, f.name)
+                          for f in dataclasses.fields(model)})
+
+
+class TestModelTypeFields:
+    """The bound field and the theorem table come from the model type."""
+
+    @pytest.fixture(autouse=True)
+    def registered(self, monkeypatch):
+        monkeypatch.setitem(plant.BUILTIN_MODELS, "bound-W", built_as(BoundW))
+        monkeypatch.setitem(plant.BUILTIN_MODELS, "one-theorem",
+                            built_as(OneTheorem))
+
+    def test_own_bound_field_runs(self, tmp_path):
+        body = (GOOD_CONFIG.replace("model = scalar-I", "model = bound-W")
+                .replace("b_V = 0.5", "b_W = 0.5"))
+        path = write_config(tmp_path, body)
+        assert parse_config(path).bound == 0.5
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("model, extra", [("bound-W", "b_V"),
+                                              ("scalar-I", "b_W")])
+    def test_other_types_bound_field_rejected(self, tmp_path, model, extra):
+        body = (GOOD_CONFIG.replace("model = scalar-I", f"model = {model}")
+                .replace("b_V = 0.5", "b_W = 0.5\nb_V = 0.5"))
+        with pytest.raises(ConfigError,
+                           match=f"'{extra}' does not apply to model {model}"):
+            parse_config(write_config(tmp_path, body))
+
+    def test_own_bound_field_is_positive(self, tmp_path):
+        body = (GOOD_CONFIG.replace("model = scalar-I", "model = bound-W")
+                .replace("b_V = 0.5", "b_W = 0"))
+        with pytest.raises(ConfigError, match="'b_W' must be positive"):
+            parse_config(write_config(tmp_path, body))
+
+    def test_theorem_outside_the_table_exits_1(self, tmp_path, capsys):
+        body = (GOOD_CONFIG.replace("model = scalar-I", "model = one-theorem")
+                .replace("theorem = 1", "theorem = 2")
+                .replace("mode = disc", "mode = cont\neps = 0.01"))
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_config(tmp_path, body)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: field 'theorem' must be one of [1], got 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -277,6 +351,26 @@ class TestCheckLemmas:
         err = capsys.readouterr().err
         assert "error: malformed CSV: r[0] must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rows, where", [
+        ("r,s\n1.0,0.1\nnan,0.1\n0.5,0.1\n", "r[1]"),
+        ("r,s\n1.0,0.1\n0.5,0.1\n0.25,nan\n", "s[2]"),
+        ("r,s,d\n1.0,0.1,0\n0.5,0.1,nan\n0.25,0.1,0\n", "d[1]"),
+    ], ids=["r", "s", "d"])
+    def test_nan_anywhere_exit_1(self, tmp_path, capsys, rows, where):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text(rows)
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: malformed CSV: {where} is NaN" in err
+        assert "Traceback" not in err
+
+    def test_inf_past_first_r_is_data(self, tmp_path, capsys):
+        # an r that grows without bound violates the inequality
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text("r,s\n1.0,0.1\ninf,0.1\n0.5,0.1\n")
+        assert main(["check-lemmas", str(csv_path)]) == 3
+        assert "VIOLATED (first violation at k=1)" in capsys.readouterr().out
 
 
 class TestUsage:

@@ -174,10 +174,17 @@ class TestRunIteration:
                          [dataclasses.astuple(s) for s in got.summaries])
 
     def test_theorem_outside_the_model_types_table_rejected(self):
+        # the loop and both monitors raise the same error, not a KeyError
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=10), m=1, bound=1.0)
-        with pytest.raises(ValueError, match="theorem"):
+        with pytest.raises(ValueError, match="theorem must be one of"):
             run_iteration(model, disc_cfg(), memory, theorem=3)
+        result = run(model, disc_cfg(), K=2, N=10)
+        with pytest.raises(ValueError, match="theorem must be one of"):
+            monitor_L(result.traces[0], model, disc_cfg(), theorem=3)
+        result.theorem = 3
+        with pytest.raises(ValueError, match="theorem must be one of"):
+            check_delta_L(result)
 
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()

@@ -8,7 +8,7 @@ from fblf_ilc.controller import ControllerConfig, Mode
 from fblf_ilc.engine import _bind, run
 from fblf_ilc.plant import (UncertaintySpec, check_certificate,
                             check_uncertainty_bound, delta_w,
-                            lyapunov_residual, rho_bound, scalar_model_i,
+                            lyapunov_residual, scalar_model_i,
                             scalar_model_ii, theta_true)
 
 PI = math.pi
@@ -78,9 +78,10 @@ class TestUncertainty:
         assert theta_true(m1, PI) == pytest.approx(0.0, abs=1e-12)
 
     def test_rho_examples(self, m1):
-        assert rho_bound(m1, 0.0, v(0)) == 0.0
-        assert rho_bound(m1, 0.0, v(2)) == pytest.approx(1.0)
-        assert rho_bound(m1, 0.0, v(-3)) == pytest.approx(1.5)
+        rho = m1.uncertainty.rho
+        assert rho(v(0), 0.0) == 0.0
+        assert rho(v(2), 0.0) == pytest.approx(1.0)
+        assert rho(v(-3), 0.0) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("factory", [scalar_model_i, scalar_model_ii])
     def test_delta_w_within_rho(self, factory):
@@ -91,7 +92,7 @@ class TestUncertainty:
         for _ in range(200):
             e = rng.uniform(-10, 10, size=1).item()
             t = rng.uniform(0, m1.T)
-            assert np.linalg.norm(delta_w(m1, t, e)) <= rho_bound(m1, t, e) + 1e-12
+            assert np.linalg.norm(delta_w(m1, t, e)) <= m1.uncertainty.rho(e, t) + 1e-12
 
     @pytest.mark.parametrize("factory", [scalar_model_i, scalar_model_ii])
     def test_w_written_for_floats(self, factory):

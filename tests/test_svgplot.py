@@ -21,10 +21,21 @@ def y_labels(path):
 @pytest.mark.parametrize("ylog", [True, False])
 def test_axis_labels_are_values_in_range(tmp_path, lo, hi, ylog):
     path = tmp_path / "plot.svg"
-    svgplot.line_plot(path, [0, 1, 2], [("sup|e|", [hi, math.sqrt(lo * hi),
-                                                    lo])], ylog=ylog)
+    svgplot.line_plot(path, [0, 1, 2], "sup|e|", [hi, math.sqrt(lo * hi), lo],
+                      ylog=ylog)
     labels = y_labels(path)
     assert len(labels) >= 2
     for label in labels:
         # a label has six significant digits
         assert lo * (1 - 1e-5) <= float(label) <= hi * (1 + 1e-5), label
+
+
+def test_series_label_and_cap_drawn(tmp_path):
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [0, 1, 2], "sup V_k", [0.1, 0.2, 0.3],
+                      hline=0.5)
+    root = ET.parse(path).getroot()
+    assert len(list(root.iter(SVG + "polyline"))) == 1
+    assert [el.get("stroke-dasharray") for el in root.iter(SVG + "line")
+            if el.get("stroke-dasharray")] == ["6 4"]
+    assert "sup V_k" in [el.text for el in root.iter(SVG + "text")]
