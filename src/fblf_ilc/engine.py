@@ -16,10 +16,10 @@ updated so far.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -170,14 +170,11 @@ def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
 
 
 def _xd_table(model, grid: TimeGrid) -> list:
-    """x_d at the nodes and interval midpoints, as the loop takes a state."""
+    """x_d at the nodes and interval midpoints, as the loop takes a state.
+    Its even entries are x_d at grid.nodes: linspace(0, T, 2N + 1)[::2]
+    is linspace(0, T, N + 1) bit for bit."""
     half = np.linspace(0.0, grid.T, 2 * grid.N + 1)
-    return [plant._desired(model, t) for t in half]
-
-
-def _theta_table(model, nodes: np.ndarray) -> np.ndarray:
-    """The learnable uncertainty theta(t) at the nodes, for the monitor."""
-    return np.stack([plant.theta_true(model, t) for t in nodes])
+    return plant._desired(model, half.tolist())
 
 
 def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
@@ -275,7 +272,7 @@ def monitor_L(trace: IterationTrace, model, config: ControllerConfig,
     if not sel.stop:
         return trace.L
     if theta_table is None:
-        theta_table = _theta_table(model, trace.t)
+        theta_table = plant.theta_path(model, trace.t.tolist())
     diff = theta_table[sel] - trace.theta_hat[sel]
     sq = np.sum(diff * diff, axis=1)
     dt = trace.t[1] - trace.t[0] if len(trace.t) > 1 else 0.0
@@ -294,7 +291,7 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
     result = RunResult(model=model, config=config, theorem=theorem,
                        grid=grid, memory=memory)
     xd_table = _xd_table(model, grid)
-    theta_table = _theta_table(model, grid.nodes)
+    theta_table = plant.theta_path(model, grid.nodes.tolist(), xd_table[::2])
     prev_LT = None
     for k in range(K):
         tr = run_iteration(model, config, memory, theorem=theorem, k=k,
@@ -347,31 +344,38 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     return verdicts
 
 
+def _csv_lines(rows) -> str:
+    """Rows of str fields as the csv module's excel dialect writes them:
+    comma-separated, each ended by CRLF.  No field the writers give (an
+    int, a float repr, nan) needs quoting."""
+    return "\r\n".join(map(",".join, rows)) + "\r\n"
+
+
 def write_trace_csv(result: RunResult, path):
-    """Per-node trace rows for all iterations."""
+    """Per-node trace rows for all iterations, written once per iteration."""
     model = result.model
     n, m = model.n, model.m
+    header = (["k", "t"] + [f"e{j}" for j in range(n)]
+              + [f"u{j}" for j in range(m)] + ["V", "L"]
+              + [f"theta_hat{j}" for j in range(m)] + ["breach"])
+    times = list(map(repr, result.grid.nodes.tolist()))  # every trace's t
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        header = (["k", "t"] + [f"e{j}" for j in range(n)]
-                  + [f"u{j}" for j in range(m)] + ["V", "L"]
-                  + [f"theta_hat{j}" for j in range(m)] + ["breach"])
-        wr.writerow(header)
+        fh.write(_csv_lines([header]))
         for tr in result.traces:
             # each column read once, as Python floats
-            cols = ([tr.t] + list(tr.e.T) + list(tr.u.T) + [tr.V, tr.L]
+            cols = (list(tr.e.T) + list(tr.u.T) + [tr.V, tr.L]
                     + list(tr.theta_hat.T))
-            values = zip(*(map(repr, c.tolist()) for c in cols))
             end = tr.valid.stop
-            wr.writerows([tr.k, *row, int(i >= end)]
-                         for i, row in enumerate(values))
+            flags = ["0"] * end + ["1"] * (len(times) - end)
+            fh.write(_csv_lines(zip(repeat(str(tr.k)), times,
+                                    *(map(repr, c.tolist()) for c in cols),
+                                    flags)))
 
 
 def write_summary_csv(result: RunResult, path):
     """Per-iteration summary rows."""
+    rows = [["k", "sup_e", "sup_V", "L_T", "delta_L", "violations"]]
+    rows += [[str(s.k), repr(s.sup_e), repr(s.sup_V), repr(s.L_T),
+              repr(s.delta_L), str(s.violations)] for s in result.summaries]
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "sup_e", "sup_V", "L_T", "delta_L", "violations"])
-        for s in result.summaries:
-            wr.writerow([s.k, repr(s.sup_e), repr(s.sup_V), repr(s.L_T),
-                         repr(s.delta_L), s.violations])
+        fh.write(_csv_lines(rows))

@@ -154,30 +154,42 @@ def value_bound(model, bound: float) -> float:
 
 def float_native(model) -> bool:
     """n = m = 1: the model's callables (V, LgV, f, g, w, rho) receive a
-    Python float state, not an array, in the closed loop, in theta_true
+    Python float state, not an array, in the closed loop, in theta_path
     and delta_w and in the sampled checks; x_d returns arrays."""
     return model.n == model.m == 1
 
 
-def _desired(model, t: float) -> State:
-    """x_d(t) as the model's callables take a state."""
-    xd = np.array(model.x_d(t), dtype=float)  # a copy: the path keeps it
-    return xd.item() if float_native(model) else xd
+def _desired(model, times) -> list:
+    """x_d at each of times, as the model's callables take a state."""
+    x_d = model.x_d
+    if float_native(model):
+        return [np.asarray(x_d(t), dtype=float).item() for t in times]
+    # copies: the path keeps them
+    return [np.array(x_d(t), dtype=float) for t in times]
 
 
-def theta_true(model, t: float) -> np.ndarray:
-    """Learnable part of the uncertainty, evaluated on the desired path,
-    as an (m,) array.
+def theta_path(model, times, xds=None) -> np.ndarray:
+    """Learnable part of the uncertainty, theta(t) = w(x_d(t), t), at each
+    of times, as a (len(times), m) array.  xds is x_d at those times as
+    _desired gives it, which is computed when not given.
 
     Monitor-only: the controller never sees this.
     """
-    return np.array(model.uncertainty.w(_desired(model, t), t), dtype=float,
-                    ndmin=1)
+    if xds is None:
+        xds = _desired(model, times)
+    w = model.uncertainty.w
+    return np.array([w(xd, t) for xd, t in zip(xds, times)],
+                    dtype=float).reshape(len(times), -1)
+
+
+def theta_true(model, t: float) -> np.ndarray:
+    """theta_path at the single time t, as an (m,) array."""
+    return theta_path(model, [t])[0]
 
 
 def delta_w(model, t: float, e: State) -> np.ndarray:
     """Error-induced part of the uncertainty, w(x_d + e, t) - w(x_d, t)."""
-    xd = _desired(model, t)
+    xd, = _desired(model, [t])
     w = model.uncertainty.w
     return np.asarray(w(xd + e, t), dtype=float) - np.asarray(w(xd, t), dtype=float)
 

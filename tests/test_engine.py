@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -12,7 +14,8 @@ from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, _xd_table, check_delta_L,
                              write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
-                            scalar_model_i, scalar_model_ii, value_bound)
+                            scalar_model_i, scalar_model_ii, theta_path,
+                            theta_true, value_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -523,3 +526,129 @@ class TestFloatShape:
         grid = TimeGrid(T=TWO_PI, N=20)
         reused = dataclasses.replace(base, x_d=refilled)
         assert same_bits(_xd_table(reused, grid), _xd_table(base, grid))
+
+
+def csv_module_bytes(rows) -> bytes:
+    """rows as csv.writer writes them, in its default excel dialect."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def trace_rows(result):
+    """The rows of trace.csv: each trace's own node times and columns,
+    with the rows from a breach node on flagged 1."""
+    n, m = result.model.n, result.model.m
+    rows = [["k", "t"] + [f"e{j}" for j in range(n)]
+            + [f"u{j}" for j in range(m)] + ["V", "L"]
+            + [f"theta_hat{j}" for j in range(m)] + ["breach"]]
+    for tr in result.traces:
+        for i, t in enumerate(tr.t):
+            vals = [t, *tr.e[i], *tr.u[i], tr.V[i], tr.L[i], *tr.theta_hat[i]]
+            flag = int(tr.breach and i >= tr.breach_node)
+            rows.append([tr.k, *(repr(float(x)) for x in vals), flag])
+    return rows
+
+
+def summary_rows(result):
+    rows = [["k", "sup_e", "sup_V", "L_T", "delta_L", "violations"]]
+    for s in result.summaries:
+        rows.append([s.k, repr(s.sup_e), repr(s.sup_V), repr(s.L_T),
+                     repr(s.delta_L), s.violations])
+    return rows
+
+
+def signed_zero_and_subnormal():
+    """A run with -0.0 and 5e-324 written into its traces and summary."""
+    result = run(scalar_model_i(), disc_cfg(), K=2, N=10)
+    tr = result.traces[1]
+    tr.e[1, 0], tr.u[2, 0], tr.V[3] = -0.0, 5e-324, -0.0
+    tr.L[4], tr.theta_hat[5, 0] = 5e-324, -5e-324
+    result.summaries[0].sup_e = -0.0
+    result.summaries[1].L_T = 5e-324
+    return result
+
+
+class TestCsvOracle:
+    """Both CSVs are, byte for byte, csv.writer's rendering of the rows."""
+
+    @pytest.mark.parametrize("case", ["lift-I", "lift-II", "breach",
+                                      "signed-zero-subnormal"])
+    def test_bytes_equal_csv_module(self, case, tmp_path):
+        if case == "lift-I":
+            result = run(lift(scalar_model_i()), disc_cfg(), K=2, N=20)
+        elif case == "lift-II":
+            result = run(lift(scalar_model_ii()), disc_cfg(bound=1.0), K=2,
+                         N=20)
+        elif case == "breach":
+            # iterations that breach inside an integrator stage
+            result = run(scalar_model_i(), disc_cfg(bound=0.01), K=2, N=10)
+            assert all(tr.breach and np.isnan(tr.V[-1])
+                       for tr in result.traces)
+        else:
+            result = signed_zero_and_subnormal()
+        if case.startswith("lift"):
+            assert result.model.n == 2
+        tp, sp = tmp_path / "trace.csv", tmp_path / "summary.csv"
+        write_trace_csv(result, tp)
+        write_summary_csv(result, sp)
+        assert tp.read_bytes() == csv_module_bytes(trace_rows(result))
+        assert sp.read_bytes() == csv_module_bytes(summary_rows(result))
+        if case == "signed-zero-subnormal":
+            text = tp.read_text() + sp.read_text()
+            assert all(f",{x}," in text
+                       for x in ("-0.0", "5e-324", "-5e-324", "nan"))
+
+
+def pointwise_theta(model, nodes):
+    """theta at each node, point by point: x_d(t), copied and read as the
+    model's callables take a state, then w(x_d(t), t)."""
+    rows = []
+    for t in nodes:
+        xd = np.array(model.x_d(t), dtype=float)
+        if model.n == model.m == 1:
+            xd = xd.item()
+        rows.append(np.array(model.uncertainty.w(xd, t), dtype=float,
+                             ndmin=1))
+    return np.stack(rows)
+
+
+def with_timed_w(model):
+    """model with a w that reads t and returns a (1,) array, from the
+    float a float-native model's w gets and from its lift's (1,) slice."""
+    unc = UncertaintySpec(
+        w=lambda x, t: np.atleast_1d(0.5 * x + 0.25 * math.cos(3.0 * t)),
+        rho=model.uncertainty.rho)
+    return dataclasses.replace(model, uncertainty=unc)
+
+
+class TestThetaTable:
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.floats(1e-3, 100.0), N=st.integers(2, 10 ** 5))
+    def test_half_grid_even_entries_are_the_nodes(self, T, N):
+        # the premise of reading x_d at the nodes off the x_d table
+        half = np.linspace(0.0, T, 2 * N + 1)
+        assert same_bits(half[::2], TimeGrid(T, N).nodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["I", "II"]), lifted=st.booleans(),
+           timed=st.booleans(), T=st.floats(1e-3, 100.0),
+           N=st.integers(2, 400))
+    def test_table_from_path_equals_pointwise(self, name, lifted, timed, T,
+                                              N):
+        model = FACTORIES[name](T=T)
+        if timed:
+            model = with_timed_w(model)
+        if lifted:
+            model = lift(model)
+        grid = TimeGrid(T, N)
+        want = pointwise_theta(model, grid.nodes)
+        nodes = grid.nodes.tolist()
+        # as run builds it, from the x_d table, and as monitor_L's
+        # default builds it, from x_d at the nodes
+        assert want.shape == (N + 1, 1)
+        for got in (theta_path(model, nodes, _xd_table(model, grid)[::2]),
+                    theta_path(model, nodes)):
+            assert got.shape == want.shape and same_bits(got, want)
+        got = theta_true(model, nodes[N // 2])
+        assert got.shape == (1,) and same_bits(got, want[N // 2])
