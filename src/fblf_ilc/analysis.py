@@ -111,7 +111,7 @@ class ConvergenceMetrics:
 
 def convergence_metrics(result: RunResult, eps: float, T: float) -> ConvergenceMetrics:
     """Tail-window limsup of the constrained quantity against the
-    theorem-2 residual bound, plus the implied error radius."""
+    smoothed scheme's residual bound, plus the implied error radius."""
     sup_V = np.array([s.sup_V for s in result.summaries])
     if len(sup_V) < 8:
         raise ValueError("need at least 8 iterations for a tail window")

@@ -29,30 +29,20 @@ class ConfigError(Exception):
     pass
 
 
-_CONFIG_KEYS = {
-    "model": str,
-    "theorem": int,
-    "mode": str,
-    "eps": float,
-    "gamma": float,
-    "theta_bar": float,
-    "K": int,
-    "N": int,
-    "T": float,
-    "out": str,
-    "svg": bool,
-    "allow_disc_thm2": bool,
-}
-
-_DEFAULTS = {
-    "theorem": 1,
-    "mode": "disc",
-    "gamma": 2.0,
-    "theta_bar": 1.0,
-    "K": 30,
-    "N": 2000,
-    "svg": False,
-    "allow_disc_thm2": False,
+# key -> (type, default); a key whose default is None is absent until set
+_FIELDS = {
+    "model": (str, None),
+    "theorem": (int, 1),
+    "mode": (str, "disc"),
+    "eps": (float, None),
+    "gamma": (float, 2.0),
+    "theta_bar": (float, 1.0),
+    "K": (int, 30),
+    "N": (int, 2000),
+    "T": (float, None),
+    "out": (str, None),
+    "svg": (bool, False),
+    "allow_disc_thm2": (bool, False),
 }
 
 _POSITIVE = ("eps", "gamma", "theta_bar", "K", "N", "T")
@@ -90,7 +80,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     models = {name: factory() for name, factory in BUILTIN_MODELS.items()}
     bound_keys = [m.bound_key for m in models.values()]
-    values = {}
+    values = {k: default for k, (_, default) in _FIELDS.items()
+              if default is not None}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -98,7 +89,7 @@ def parse_config(path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        typ = float if key in bound_keys else _CONFIG_KEYS.get(key)
+        typ = float if key in bound_keys else _FIELDS.get(key, (None,))[0]
         if typ is None:
             raise ConfigError(f"{path}:{lineno}: unknown field '{key}'")
         try:
@@ -109,31 +100,29 @@ def parse_config(path) -> RunConfig:
         if typ is float and not math.isfinite(values[key]):
             raise ConfigError(f"{path}:{lineno}: field '{key}' must be "
                               f"finite, got {raw!r}")
-    for key, default in _DEFAULTS.items():
-        values.setdefault(key, default)
 
     model = values.get("model")
     if model not in models:
         raise ConfigError(f"field 'model' must be one of "
                           f"{sorted(models)}, got {model!r}")
-    bound_key = models[model].bound_key
-    kinds = models[model].barrier_kinds
+    bound_key, theorems = models[model].bound_key, models[model].theorems
     for key in _POSITIVE + (bound_key,):
         if key in values and not values[key] > 0:
             raise ConfigError(f"field '{key}' must be positive, got {values[key]}")
     if values["N"] < 2:
         raise ConfigError(f"field 'N' must be >= 2, got {values['N']}")
     theorem = values["theorem"]
-    if theorem not in kinds:
-        raise ConfigError(f"field 'theorem' must be one of {sorted(kinds)}, "
-                          f"got {theorem}")
+    if theorem not in theorems:
+        raise ConfigError(f"field 'theorem' must be one of "
+                          f"{sorted(theorems)}, got {theorem}")
     mode = values["mode"]
     if mode not in ("disc", "cont"):
         raise ConfigError(f"field 'mode' must be 'disc' or 'cont', got {mode!r}")
     if mode == "cont" and "eps" not in values:
         raise ConfigError("field 'eps' is required in continuous mode")
-    if theorem == 2 and mode != "cont" and not values["allow_disc_thm2"]:
-        raise ConfigError("field 'mode' must be 'cont' for theorem 2 "
+    if (theorems[theorem].smoothed and mode != "cont"
+            and not values["allow_disc_thm2"]):
+        raise ConfigError(f"field 'mode' must be 'cont' for theorem {theorem} "
                           "(set allow_disc_thm2 = true to override)")
 
     for key in bound_keys:

@@ -140,13 +140,6 @@ class _Loop(NamedTuple):
     bound: float
 
 
-def _kinds(model, theorem: int) -> tuple:
-    """(gain kind, monitor kind) under theorem, from the model type's table."""
-    if theorem not in model.barrier_kinds:
-        raise ValueError(f"theorem must be one of {sorted(model.barrier_kinds)}")
-    return model.barrier_kinds[theorem]
-
-
 def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
     """The model type's constraint terms bound for the closed loop, on
     Python floats for n = m = 1 and on numpy arrays otherwise.  The
@@ -154,7 +147,7 @@ def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
     shape = _FLOAT if plant.float_native(model) else _ARRAY
     value, grad, rhs = model.loop_terms(shape)
     bound = plant.value_bound(model, config.bound)
-    d1 = FORMS[_kinds(model, theorem)[0]][1]
+    d1 = FORMS[plant.scheme(model, theorem).gain][1]
 
     def zvec(e, t, v):
         return d1(v, bound) * grad(e, t)
@@ -164,7 +157,7 @@ def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
 
 def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
     """V -> the monitor's barrier, of the model type's monitor kind."""
-    form = FORMS[_kinds(model, theorem)[1]][0]
+    form = FORMS[plant.scheme(model, theorem).monitor][0]
     bound = plant.value_bound(model, config.bound)
     return lambda v: model.barrier_scale * form(v, bound)
 
@@ -324,12 +317,13 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     """Verify the per-iteration decrease of the monitor at t = T.
 
     The model type names the required decrease: V_{k-1}(T) for model I,
-    the BLF value W_{k-1}(T) for model II; the smoothed (theorem-2)
-    scheme adds an eps*T allowance.
+    the BLF value W_{k-1}(T) for model II; a theorem whose scheme is
+    smoothed adds an eps*T allowance.
     """
     model, config, theorem = result.model, result.config, result.theorem
     blf = _blf(model, config, theorem)
-    residual = (config.eps or 0.0) * result.grid.T if theorem == 2 else 0.0
+    smoothed = plant.scheme(model, theorem).smoothed
+    residual = (config.eps or 0.0) * result.grid.T if smoothed else 0.0
     verdicts = []
     for k in range(1, len(result.traces)):
         prev, cur = result.traces[k - 1], result.traces[k]

@@ -10,21 +10,29 @@ theta(t) = w(x_d(t), t) is iteration-independent and learnable, while
 dw = w(x_d + e, t) - w(x_d, t) vanishes with the error and is only
 norm-bounded by a user-supplied rho(e, t).
 
-Each model type carries its constraint: bound, barrier scale, barrier
-kinds per theorem, closed-loop terms, required decrease and error radius.
+Each model type carries its constraint: bound, barrier scale, the scheme
+of each theorem, closed-loop terms, required decrease and error radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from .barrier import BarrierKind
 
 State = float | np.ndarray  # the state the loop passes, see float_native
+
+
+class Scheme(NamedTuple):
+    """A theorem's barrier kinds, of the learning gain and of the monitor,
+    and whether it is smoothed (mode cont, an eps*T residual in ΔL)."""
+    gain: BarrierKind
+    monitor: BarrierKind
+    smoothed: bool
 
 
 @dataclass(frozen=True)
@@ -70,9 +78,9 @@ class ErrorModelI:
     bound_key: ClassVar[str] = "b_V"
     bound_power: ClassVar[int] = 1
     barrier_scale: ClassVar[float] = 1.0
-    # theorem -> (gain kind, monitor kind)
-    barrier_kinds: ClassVar[dict] = {1: (BarrierKind.FII, BarrierKind.FII),
-                                     2: (BarrierKind.FV, BarrierKind.FV)}
+    theorems: ClassVar[dict] = {
+        1: Scheme(BarrierKind.FII, BarrierKind.FII, False),
+        2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
 
     def loop_terms(self, shape):
         """The closed loop's (value, grad, rhs), in shape's primitives."""
@@ -111,8 +119,15 @@ class ErrorModelII:
     bound_key: ClassVar[str] = "b_e"
     bound_power: ClassVar[int] = 2
     barrier_scale: ClassVar[float] = 0.5
-    barrier_kinds: ClassVar[dict] = {1: (BarrierKind.FI, BarrierKind.FII),
-                                     2: (BarrierKind.FV, BarrierKind.FV)}
+    theorems: ClassVar[dict] = {
+        1: Scheme(BarrierKind.FI, BarrierKind.FII, False),
+        2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
+
+    def __post_init__(self):
+        residual = lyapunov_residual(self)
+        if residual > 1e-9 * (1.0 + np.linalg.norm(self.Q)):
+            raise ValueError(f"(P, Q) is not a Lyapunov pair of A: "
+                             f"||A'P + PA + Q|| = {residual:.3g}")
 
     @property
     def n(self) -> int:
@@ -145,6 +160,13 @@ class ErrorModelII:
     def error_radius(self, limsup, bound):
         # guaranteed by the bound, not measured
         return math.sqrt(bound / float(np.min(np.linalg.eigvalsh(self.P))))
+
+
+def scheme(model, theorem: int) -> Scheme:
+    """The scheme of theorem, from the model type's table."""
+    if theorem not in model.theorems:
+        raise ValueError(f"theorem must be one of {sorted(model.theorems)}")
+    return model.theorems[theorem]
 
 
 def value_bound(model, bound: float) -> float:
@@ -180,11 +202,6 @@ def theta_path(model, times, xds=None) -> np.ndarray:
     w = model.uncertainty.w
     return np.array([w(xd, t) for xd, t in zip(xds, times)],
                     dtype=float).reshape(len(times), -1)
-
-
-def theta_true(model, t: float) -> np.ndarray:
-    """theta_path at the single time t, as an (m,) array."""
-    return theta_path(model, [t])[0]
 
 
 def delta_w(model, t: float, e: State) -> np.ndarray:

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from fblf_ilc import engine, plant, svgplot
+from fblf_ilc import cli, engine, plant, svgplot
 from fblf_ilc.cli import main, parse_config, ConfigError
 from fblf_ilc.controller import ControllerConfig, Mode
+from fblf_ilc.learner import ParamMemory, TimeGrid
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -93,7 +94,12 @@ class BoundW(plant.ErrorModelI):
 
 
 class OneTheorem(plant.ErrorModelI):
-    barrier_kinds = {1: plant.ErrorModelI.barrier_kinds[1]}
+    theorems = {1: plant.ErrorModelI.theorems[1]}
+
+
+class SmoothedThree(plant.ErrorModelI):
+    theorems = {1: plant.ErrorModelI.theorems[1],
+                3: plant.ErrorModelI.theorems[2]}
 
 
 def built_as(cls):
@@ -145,6 +151,80 @@ class TestModelTypeFields:
         assert "error: field 'theorem' must be one of [1], got 2" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestSmoothedTheoremNumbered3:
+    """Which theorem is smoothed comes from the model type's table, not
+    from its number: the mode rule and the eps*T allowance follow it."""
+    EPS = 0.01
+    CONT = ControllerConfig(mode=Mode.CONT, bound=0.5, gamma=2.0,
+                            theta_bar=1.0, eps=EPS)
+
+    @pytest.fixture(autouse=True)
+    def registered(self, monkeypatch):
+        monkeypatch.setitem(plant.BUILTIN_MODELS, "smoothed-3",
+                            built_as(SmoothedThree))
+
+    def config(self, tmp_path, theorem, extra=""):
+        body = (GOOD_CONFIG.replace("model = scalar-I", "model = smoothed-3")
+                .replace("theorem = 1", f"theorem = {theorem}") + extra)
+        return write_config(tmp_path, body)
+
+    def test_mode_rule(self, tmp_path):
+        with pytest.raises(ConfigError, match="'mode' must be 'cont' for "
+                                              "theorem 3"):
+            parse_config(self.config(tmp_path, 3))
+        for extra, mode in (("allow_disc_thm2 = true\n", "disc"),
+                            ("mode = cont\neps = 0.01\n", "cont")):
+            cfg = parse_config(self.config(tmp_path, 3, extra))
+            assert (cfg.theorem, cfg.mode) == (3, mode)
+
+    def test_theorem_2_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"field 'theorem' must be one "
+                                              r"of \[1, 3\], got 2"):
+            parse_config(self.config(tmp_path, 2, "mode = cont\neps = 0.01\n"))
+        model = built_as(SmoothedThree)()
+        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=1, bound=1.0)
+        with pytest.raises(ValueError, match=r"must be one of \[1, 3\]"):
+            engine.run_iteration(model, self.CONT, memory, theorem=2)
+        result = engine.run(model, self.CONT, K=2, N=10, theorem=3)
+        with pytest.raises(ValueError, match=r"must be one of \[1, 3\]"):
+            engine.monitor_L(result.traces[0], model, self.CONT, theorem=2)
+        result.theorem = 2
+        with pytest.raises(ValueError, match=r"must be one of \[1, 3\]"):
+            engine.check_delta_L(result)
+
+    def test_delta_L_allowance(self):
+        result = engine.run(built_as(SmoothedThree)(), self.CONT, K=4, N=100,
+                            theorem=3)
+        verdicts = engine.check_delta_L(result)
+        assert len(verdicts) == 3
+        for v in verdicts:
+            prev_V = float(result.traces[v.k - 1].V[-1])
+            assert v.required == -prev_V + self.EPS * result.grid.T
+
+
+class TestReadmeFieldTable:
+    """README's simulate table lists the keys parse_config accepts, with
+    the parser's defaults."""
+
+    @staticmethod
+    def rows():
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text.split("### `simulate`", 1)[1].split("\n#", 1)[0]
+        cells = [line.split("|")[1:4] for line in section.splitlines()
+                 if line.startswith("| `")]
+        return {key.strip().strip("`"): default.strip().strip("`").lower()
+                for key, _, default in cells}
+
+    def test_keys_and_defaults(self):
+        bound_keys = {f().bound_key for f in plant.BUILTIN_MODELS.values()}
+        rows = self.rows()
+        assert set(rows) == set(cli._FIELDS) | bound_keys
+        for key, listed in rows.items():
+            _, default = cli._FIELDS.get(key, (float, None))
+            want = "—" if default is None else str(default).lower()
+            assert listed == want, key
 
 
 class TestSimulate:

@@ -15,7 +15,7 @@ from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, _xd_table, check_delta_L,
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
                             scalar_model_i, scalar_model_ii, theta_path,
-                            theta_true, value_bound)
+                            value_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -650,5 +650,5 @@ class TestThetaTable:
         for got in (theta_path(model, nodes, _xd_table(model, grid)[::2]),
                     theta_path(model, nodes)):
             assert got.shape == want.shape and same_bits(got, want)
-        got = theta_true(model, nodes[N // 2])
+        got = theta_path(model, [nodes[N // 2]])[0]
         assert got.shape == (1,) and same_bits(got, want[N // 2])

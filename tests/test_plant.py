@@ -6,10 +6,10 @@ import pytest
 
 from fblf_ilc.controller import ControllerConfig, Mode
 from fblf_ilc.engine import _bind, run
-from fblf_ilc.plant import (UncertaintySpec, check_certificate,
+from fblf_ilc.plant import (ErrorModelII, UncertaintySpec, check_certificate,
                             check_uncertainty_bound, delta_w,
                             lyapunov_residual, scalar_model_i,
-                            scalar_model_ii, theta_true)
+                            scalar_model_ii, theta_path)
 
 PI = math.pi
 
@@ -73,9 +73,9 @@ class TestRhsModel2:
 
 class TestUncertainty:
     def test_theta_true_values(self, m1):
-        assert theta_true(m1, 0.0) == pytest.approx(0.0)
-        assert theta_true(m1, PI / 2) == pytest.approx(0.5)
-        assert theta_true(m1, PI) == pytest.approx(0.0, abs=1e-12)
+        assert theta_path(m1, [0.0])[0] == pytest.approx(0.0)
+        assert theta_path(m1, [PI / 2])[0] == pytest.approx(0.5)
+        assert theta_path(m1, [PI])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rho_examples(self, m1):
         rho = m1.uncertainty.rho
@@ -102,7 +102,7 @@ class TestUncertainty:
                               rho=lambda e, t: 0.5 * abs(e))
         model = dataclasses.replace(factory(), uncertainty=unc)
         assert check_uncertainty_bound(model)
-        assert theta_true(model, PI / 2).shape == (1,)
+        assert theta_path(model, [PI / 2])[0].shape == (1,)
         cfg = ControllerConfig(mode=Mode.DISC, bound=0.5, gamma=2.0,
                                theta_bar=1.0)
         result = run(model, cfg, K=2, N=50)
@@ -131,6 +131,17 @@ class TestCertificate:
 class TestModel2Identity:
     def test_lyapunov_equation(self, m2):
         assert lyapunov_residual(m2) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pair_checked_at_construction(self, m2, n):
+        # A = -I and Q = I need P = I/2: P = I leaves A'P + PA + Q = -I
+        eye = np.eye(n)
+        pair = dict(A=-eye, b=eye[:, :1], Q=eye, x_d=m2.x_d,
+                    uncertainty=m2.uncertainty, T=m2.T)
+        with pytest.raises(ValueError, match=r"not a Lyapunov pair of A: "
+                           rf"\|\|A'P \+ PA \+ Q\|\| = {math.sqrt(n):.3g}"):
+            ErrorModelII(P=eye, **pair)
+        assert lyapunov_residual(ErrorModelII(P=0.5 * eye, **pair)) == 0.0
 
     def test_pq_positive_definite(self, m2):
         assert np.all(np.linalg.eigvalsh(m2.P) > 0)
