@@ -37,6 +37,8 @@ class SequenceTriple:
                 raise ValueError("d must match r in length")
         if len(r) != len(s):
             raise ValueError("r and s must have equal lengths")
+        if len(r) == 0:
+            raise ValueError("r and s are empty")
         if not math.isfinite(r[0]):
             raise ValueError("r[0] must be finite")
         for name, a in (("r", r), ("s", s), ("d", self.d)):
@@ -62,12 +64,12 @@ def _tail(a: np.ndarray) -> np.ndarray:
 
 
 def _check(r, s, d, d_bar) -> LemmaVerdict:
-    holds = True
-    first = None
-    for k in range(1, len(r)):
-        if not r[k] <= r[k - 1] - s[k] + d[k] + _SLACK:
-            holds, first = False, k
-            break
+    # inf - inf (NaN, a violation) or an overflow may occur past the first
+    # violation, where a loop stopping there would not have computed it
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = ~(r[1:] <= r[:-1] - s[1:] + d[1:] + _SLACK)
+    holds = not bad.any()
+    first = None if holds else int(bad.argmax()) + 1
     s_tail = float(np.max(_tail(s)))
     r_bounded = bool(np.all(np.isfinite(r)))
     bound_respected = None

@@ -243,6 +243,16 @@ def cmd_compare_blf(args) -> int:
     return 0 if report.all_hold else 3
 
 
+def _column(rows, name) -> list[float]:
+    """One CSV column as floats; a missing cell is named by its index."""
+    values = []
+    for k, row in enumerate(rows):
+        if row[name] is None:
+            raise ValueError(f"{name}[{k}] is missing")
+        values.append(float(row[name]))
+    return values
+
+
 def cmd_check_lemmas(args) -> int:
     path = Path(args.csv)
     if not path.is_file():
@@ -250,14 +260,16 @@ def cmd_check_lemmas(args) -> int:
         return 1
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows or "r" not in rows[0] or "s" not in rows[0]:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+            columns = reader.fieldnames or []
+        if "r" not in columns or "s" not in columns:
             raise ValueError("CSV must have columns r,s[,d]")
-        d = None
-        if "d" in rows[0] and rows[0]["d"] is not None:
-            d = [float(row["d"]) for row in rows]
-        seq = analysis.SequenceTriple([float(row["r"]) for row in rows],
-                                      [float(row["s"]) for row in rows], d)
+        if not rows:
+            raise ValueError("no data rows")
+        seq = analysis.SequenceTriple(
+            _column(rows, "r"), _column(rows, "s"),
+            _column(rows, "d") if "d" in columns else None)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fblf_ilc.analysis import (SequenceTriple, blf_report,
+from fblf_ilc.analysis import (_SLACK, SequenceTriple, blf_report,
                                convergence_metrics, lemma1_check,
                                lemma2_check)
 from fblf_ilc.controller import ControllerConfig, Mode
@@ -86,6 +88,50 @@ class TestLemma2:
             SequenceTriple(np.ones(3), np.ones(4))
         with pytest.raises(ValueError):
             SequenceTriple(np.ones(3), np.ones(3), d=np.ones(2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^r and s are empty$"):
+            SequenceTriple([], [])
+
+
+def loop_first_violation(r, s, d):
+    """The per-k loop the vector check replaced, kept as its oracle."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, len(r)):
+            if not r[k] <= r[k - 1] - s[k] + d[k] + _SLACK:
+                return k
+    return None
+
+
+# values with ties at the slack's scale, huge magnitudes and +-inf
+VALUE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
+    [0.0, _SLACK, -_SLACK, 1e308, -1e308, math.inf, -math.inf]))
+
+
+class TestVectorCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(VALUE, VALUE, VALUE), min_size=1,
+                         max_size=12),
+           r0=st.floats(-10.0, 10.0), residual=st.booleans())
+    def test_matches_loop(self, rows, r0, residual):
+        r, s, d = (np.array(col) for col in zip(*rows))
+        r[0] = r0
+        if residual:
+            verdict = lemma2_check(SequenceTriple(r, s, d=d))
+        else:
+            d = np.zeros_like(r)
+            verdict = lemma1_check(SequenceTriple(r, s))
+        first = loop_first_violation(r, s, d)
+        assert verdict.first_violation == first
+        assert verdict.inequality_holds == (first is None)
+
+    def test_inf_minus_inf_past_violation_is_silent(self):
+        # r[1] = inf breaks the inequality at k = 1; k = 2 computes
+        # inf - inf, which a warning would turn into an error here
+        verdict = lemma1_check(SequenceTriple([1.0, math.inf, math.inf],
+                                              [0.0, math.inf, math.inf]))
+        assert not verdict.inequality_holds
+        assert verdict.first_violation == 1
 
 
 class TestConvergenceMetrics:

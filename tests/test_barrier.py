@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fblf_ilc.barrier import (BarrierDomainError, BarrierKind,
+from fblf_ilc import barrier
+from fblf_ilc.barrier import (FORMS, BarrierDomainError, BarrierKind,
                               blf_d1, blf_d2, blf_eval,
                               default_bound_sequence, ibp_probe, verify_order)
 
 ALL_KINDS = list(BarrierKind)
 BOUNDS = [0.5, 1.0, 2.0, 10.0]
+ORDERS = (blf_eval, blf_d1, blf_d2)
+BLOCK = barrier._BLOCK
 
 
 def fd1(kind, V, b):
@@ -207,3 +210,81 @@ class TestIbp:
             ibp_probe(BarrierKind.FI, 1.0, [10.0, 10.0])
         with pytest.raises(ValueError):
             ibp_probe(BarrierKind.FI, 0.0, [10.0, 100.0])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestBlocked:
+    """Array inputs run block by block and give the whole-array bits."""
+
+    @staticmethod
+    def grid(n, b):
+        # +-0.0 and the largest float below b among uniform samples
+        V = np.random.default_rng(n).uniform(0.0, b, n + 1)
+        V[:3] = [0.0, -0.0, np.nextafter(b, 0.0)][:n + 1]
+        return V
+
+    @pytest.mark.parametrize("b", [0.3, 2.0, 1e3])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 7])
+    def test_bit_identical_to_whole_array(self, n, b):
+        V = self.grid(n, b)
+        inputs = [V[:n], V[1:], V[:2 * (n // 2)].reshape(2, -1)]
+        for kind in ALL_KINDS:
+            for q, fn in enumerate(ORDERS):
+                for x in inputs:
+                    got = fn(kind, x, b)
+                    assert got.shape == x.shape
+                    assert np.array_equal(bits(got),
+                                          bits(FORMS[kind][q](x, b)))
+
+    @pytest.mark.parametrize("bad_v", [-1e-300, 2.0, np.inf])
+    def test_domain_error_in_last_block(self, bad_v):
+        V = np.full(3 * BLOCK + 7, 1.0)
+        V[-1] = bad_v
+        for fn in ORDERS:
+            with pytest.raises(BarrierDomainError,
+                               match=r"^V outside \[0, 2.0\)$"):
+                fn(BarrierKind.FII, V, 2.0)
+
+    def test_nan_passes_the_check(self):
+        V = np.full(BLOCK + 1, 0.5)
+        V[[0, -1]] = np.nan
+        for fn in ORDERS:
+            out = fn(BarrierKind.FI, V, 1.0)
+            assert np.isnan(out[[0, -1]]).all()
+            assert np.isfinite(out[1:-1]).all()
+            assert math.isnan(fn(BarrierKind.FI, math.nan, 1.0))
+
+    def test_nan_does_not_hide_a_bad_sample(self):
+        V = np.full(BLOCK + 1, 0.5)
+        V[-2:] = [np.nan, -0.5]
+        with pytest.raises(BarrierDomainError):
+            blf_eval(BarrierKind.FI, V, 1.0)
+
+    @pytest.mark.parametrize("V", [0.25, np.float64(0.25), np.array(0.25)])
+    def test_scalar_returns_float(self, V):
+        for fn in ORDERS:
+            assert type(fn(BarrierKind.FIV, V, 1.0)) is float
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_scalar_keeps_its_bits(self, kind):
+        # numpy's scalar ** and its array loops round some samples apart
+        for V in np.random.default_rng(3).uniform(0.0, 2.0, 300).tolist():
+            for q, fn in enumerate(ORDERS):
+                want = float(FORMS[kind][q](np.asarray(V), 2.0))
+                assert bits(fn(kind, V, 2.0)) == bits(want)
+
+
+class TestFloatArrayAgreement:
+    # monitor_L evaluates the monitor's barrier on arrays, check_delta_L
+    # on a float, and the delta-L verdict compares the two
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("b", [0.5, 2.0, 17.3])
+    def test_value_forms_same_bits(self, kind, b):
+        V = np.random.default_rng(5).uniform(0.0, b, 5000)
+        form = FORMS[kind][0]
+        on_floats = [form(v, b) for v in V.tolist()]
+        assert np.array_equal(bits(on_floats), bits(form(V, b)))

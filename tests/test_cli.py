@@ -420,6 +420,17 @@ class TestCheckLemmas:
         csv_path.write_text("a,b\n1,2\n")
         assert main(["check-lemmas", str(csv_path)]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("r,s,d\n", "no data rows"),
+        ("r,s,d\n1.0,0.1,0\n0.5,0.1\n", "d[1] is missing"),
+    ], ids=["header-only", "missing-d"])
+    def test_bad_rows_named(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text(text)
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed CSV: {message}\n"
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["check-lemmas", str(tmp_path / "absent.csv")]) == 1
 
