@@ -259,7 +259,8 @@ def cmd_check_lemmas(args) -> int:
         print(f"error: file not found: {path}", file=sys.stderr)
         return 1
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig: a byte-order mark, as Excel writes, is not part of "r"
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
             columns = reader.fieldnames or []

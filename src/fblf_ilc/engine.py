@@ -162,23 +162,20 @@ def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
     return lambda v: model.barrier_scale * form(v, bound)
 
 
-def _xd_table(model, grid: TimeGrid) -> list:
-    """x_d at the nodes and interval midpoints, as the loop takes a state.
-    Its even entries are x_d at grid.nodes: linspace(0, T, 2N + 1)[::2]
-    is linspace(0, T, N + 1) bit for bit."""
-    half = np.linspace(0.0, grid.T, 2 * grid.N + 1)
-    return plant._desired(model, half.tolist())
-
-
 def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
                   theorem: int = 1, k: int = 0,
                   xd_table: list | None = None) -> IterationTrace:
-    """Run one iteration of the closed loop, updating memory in place."""
+    """Run one iteration of the closed loop, updating memory in place; each
+    stage reads its time off grid.times, where xd_table was read."""
     grid = memory.grid
     if abs(grid.T - model.T) > 1e-9:
         raise ValueError("memory grid horizon does not match model horizon")
+    if memory.bound != config.theta_bar:
+        raise ValueError(f"memory saturation bound {memory.bound} does not "
+                         f"match theta_bar {config.theta_bar}")
+    times = grid.times
     if xd_table is None:
-        xd_table = _xd_table(model, grid)
+        xd_table = plant._desired(model, times)
     shape, value, zvec, rhs, bound = _bind(model, config, theorem)
     clamp, row, put = shape.clamp, shape.row, shape.put
     gamma = config.gamma
@@ -186,12 +183,10 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     robust = robust_term(config, shape.zeros(m), shape.dot)
     update = memory.update_node
     N, dt = grid.N, grid.dt
-    nodes = grid.nodes
-    times = nodes.tolist()
 
     tr = IterationTrace(
         k=k,
-        t=nodes,
+        t=grid.nodes,
         e=np.full((N + 1, n), np.nan),
         u=np.full((N + 1, m), np.nan),
         V=np.full(N + 1, np.nan),
@@ -220,7 +215,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     half_dt = 0.5 * dt
     try:
         for i in range(N + 1):
-            t = times[i]
+            t = times[2 * i]
             v, z = probe(t, e)
             _, theta_hat = update(i, z, gamma, clamp, row, put)
             u = -theta_hat - robust(z, rho(e, t))
@@ -231,12 +226,11 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             if i == N:
                 break
 
-            xdh = xd_table[2 * i + 1]
-            th = t + half_dt
+            th, xdh = times[2 * i + 1], xd_table[2 * i + 1]
             k1 = rhs(e, t, u, xd_table[2 * i])
             k2 = deriv(th, e + half_dt * k1, xdh)
             k3 = deriv(th, e + half_dt * k2, xdh)
-            k4 = deriv(t + dt, e + dt * k3, xd_table[2 * i + 2])
+            k4 = deriv(times[2 * i + 2], e + dt * k3, xd_table[2 * i + 2])
             e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except _Breach:
         tr.breach_node = i
@@ -283,8 +277,8 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
     memory = ParamMemory(grid, m=model.m, bound=config.theta_bar)
     result = RunResult(model=model, config=config, theorem=theorem,
                        grid=grid, memory=memory)
-    xd_table = _xd_table(model, grid)
-    theta_table = plant.theta_path(model, grid.nodes.tolist(), xd_table[::2])
+    xd_table = plant._desired(model, grid.times)
+    theta_table = plant.theta_path(model, grid.times[::2], xd_table[::2])
     prev_LT = None
     for k in range(K):
         tr = run_iteration(model, config, memory, theorem=theorem, k=k,
@@ -352,7 +346,7 @@ def write_trace_csv(result: RunResult, path):
     header = (["k", "t"] + [f"e{j}" for j in range(n)]
               + [f"u{j}" for j in range(m)] + ["V", "L"]
               + [f"theta_hat{j}" for j in range(m)] + ["breach"])
-    times = list(map(repr, result.grid.nodes.tolist()))  # every trace's t
+    times = list(map(repr, result.grid.times[::2]))  # every trace's t
     with open(path, "w", newline="") as fh:
         fh.write(_csv_lines([header]))
         for tr in result.traces:

@@ -10,7 +10,7 @@ applied on every read, so the per-iteration recursion is
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,14 +25,19 @@ def sat(v, bound: float):
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """N intervals of [0, T], with the one time table the simulator reads:
+    node i is times[2i], its interval's midpoint times[2i + 1]."""
     T: float
     N: int
+    times: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be >= 2")
         if not self.T > 0:
             raise ValueError("T must be positive")
+        object.__setattr__(self, "times", np.linspace(
+            0.0, self.T, 2 * self.N + 1).tolist())
 
     @property
     def dt(self) -> float:
@@ -40,7 +45,8 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
+        # linspace(0, T, 2N + 1)[::2] is linspace(0, T, N + 1) bit for bit
+        return np.array(self.times[::2])
 
 
 class ParamMemory:

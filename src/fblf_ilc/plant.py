@@ -216,18 +216,21 @@ def lyapunov_residual(model: ErrorModelII) -> float:
     return float(np.linalg.norm(model.A.T @ model.P + model.P @ model.A + model.Q))
 
 
-def check_certificate(model: ErrorModelI) -> bool:
-    """Sample-validate the certificate bracketing and dissipation bounds.
-
-    Draws 10^4 errors, as State, from the box [-10, 10]^n with a fixed seed.
-    """
-    rng = np.random.default_rng(0)
-    cert = model.certificate
-    tol = 1e-9
+def _draws(model, seed: int):
+    """10^4 pairs (e, t) from a fixed seed: e, as State, from the box
+    [-10, 10]^n, then t from [0, T]."""
+    rng = np.random.default_rng(seed)
     size = None if float_native(model) else model.n
     for _ in range(10_000):
-        e = rng.uniform(-10.0, 10.0, size=size)
-        t = rng.uniform(0.0, model.T)
+        yield rng.uniform(-10.0, 10.0, size=size), rng.uniform(0.0, model.T)
+
+
+def check_certificate(model: ErrorModelI) -> bool:
+    """Sample-validate the certificate bracketing and dissipation bounds
+    on _draws' pairs of seed 0."""
+    cert = model.certificate
+    tol = 1e-9
+    for e, t in _draws(model, 0):
         r = float(np.linalg.norm(e))
         v = cert.V(e, t)
         if not (cert.alpha1(r) - tol <= v <= cert.alpha2(r) + tol):
@@ -238,19 +241,14 @@ def check_certificate(model: ErrorModelI) -> bool:
 
 
 def check_uncertainty_bound(model) -> bool:
-    """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0.
-
-    Draws 10^4 errors, as State, from the box [-10, 10]^n with a fixed seed.
-    """
-    rng = np.random.default_rng(1)
+    """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0
+    on _draws' pairs of seed 1."""
     rho = model.uncertainty.rho
-    size = None if float_native(model) else model.n
-    for _ in range(10_000):
-        e = rng.uniform(-10.0, 10.0, size=size)
-        t = rng.uniform(0.0, model.T)
+    zero = 0.0 if float_native(model) else np.zeros(model.n)
+    for e, t in _draws(model, 1):
         if np.linalg.norm(delta_w(model, t, e)) > rho(e, t) + 1e-9:
             return False
-        if rho(0.0 if size is None else np.zeros(size), t) != 0.0:
+        if rho(zero, t) != 0.0:
             return False
     return True
 

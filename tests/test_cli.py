@@ -431,6 +431,18 @@ class TestCheckLemmas:
         err = capsys.readouterr().err
         assert err == f"error: malformed CSV: {message}\n"
 
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export starts the file with a BOM
+        text = "r,s\r\n" + "".join(f"{2.0 ** -k},{2.0 ** -k}\r\n"
+                                    for k in range(12))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["check-lemmas", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["check-lemmas", str(marked)]) == 0
+        assert capsys.readouterr() == want
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["check-lemmas", str(tmp_path / "absent.csv")]) == 1
 

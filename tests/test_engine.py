@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, _xd_table, check_delta_L,
-                             monitor_L, run, run_iteration, write_summary_csv,
+from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, check_delta_L, monitor_L,
+                             run, run_iteration, write_summary_csv,
                              write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
-                            scalar_model_i, scalar_model_ii, theta_path,
-                            value_bound)
+                            _desired, scalar_model_i, scalar_model_ii,
+                            theta_path, value_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,6 +194,40 @@ class TestRunIteration:
         memory = ParamMemory(TimeGrid(T=1.0, N=100), m=1, bound=1.0)
         with pytest.raises(ValueError):
             run_iteration(model, disc_cfg(), memory)
+
+    def test_saturation_bound_mismatch_rejected(self):
+        # the monitor and the saturation statistics read theta_bar, so a
+        # memory saturating elsewhere would run unreported
+        model = scalar_model_i()
+        cfg = dataclasses.replace(disc_cfg(), theta_bar=0.1)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=5.0)
+        with pytest.raises(ValueError, match=r"memory saturation bound 5\.0 "
+                                             r"does not match theta_bar 0\.1"):
+            run_iteration(model, cfg, memory)
+        assert not memory.theta_star.any()
+
+    def test_stage_times_are_desired_path_times(self):
+        # x_d and every state callable are read at the same instants: the
+        # node, the midpoint and the end of each interval off grid.times
+        seen = {}
+
+        def recording(name, fn):
+            seen[name] = set()
+
+            def wrapped(*args):
+                seen[name].add(args[-1])
+                return fn(*args)
+            return wrapped
+
+        base = scalar_model_i()
+        model = dataclasses.replace(
+            replace_callables(base, recording),
+            x_d=recording("x_d", base.x_d))
+        result = run(model, disc_cfg(), K=1, N=2000)
+        assert not result.any_breach
+        for name in ("V", "LgV", "f", "g", "w", "rho"):
+            assert seen[name] and seen[name] <= seen["x_d"], name
+        assert seen["x_d"] == set(result.grid.times)
 
     def test_continuous_mode_smooth_input(self):
         model = scalar_model_i()
@@ -507,8 +541,8 @@ class TestFloatShape:
         # x_d at nodes and midpoints: floats for the built-in, (2,) arrays
         # for its lift, with the same bits in the first state
         grid = TimeGrid(T=TWO_PI, N=20)
-        path = _xd_table(FACTORIES[name](), grid)
-        lifted = _xd_table(lift(FACTORIES[name]()), grid)
+        path = _desired(FACTORIES[name](), grid.times)
+        lifted = _desired(lift(FACTORIES[name]()), grid.times)
         assert len(path) == len(lifted) == 2 * grid.N + 1
         assert all(type(x) is float for x in path)
         assert all(x.shape == (2,) for x in lifted)
@@ -525,7 +559,8 @@ class TestFloatShape:
 
         grid = TimeGrid(T=TWO_PI, N=20)
         reused = dataclasses.replace(base, x_d=refilled)
-        assert same_bits(_xd_table(reused, grid), _xd_table(base, grid))
+        assert same_bits(_desired(reused, grid.times),
+                         _desired(base, grid.times))
 
 
 def csv_module_bytes(rows) -> bytes:
@@ -626,9 +661,13 @@ class TestThetaTable:
     @settings(max_examples=200, deadline=None)
     @given(T=st.floats(1e-3, 100.0), N=st.integers(2, 10 ** 5))
     def test_half_grid_even_entries_are_the_nodes(self, T, N):
-        # the premise of reading x_d at the nodes off the x_d table
+        # the premise of reading x_d at the nodes off the x_d table, and
+        # the node grid is linspace(0, T, N + 1) as it always was
         half = np.linspace(0.0, T, 2 * N + 1)
-        assert same_bits(half[::2], TimeGrid(T, N).nodes)
+        grid = TimeGrid(T, N)
+        assert same_bits(half[::2], grid.nodes)
+        assert same_bits(grid.nodes, np.linspace(0.0, T, N + 1))
+        assert same_bits(grid.times, half)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["I", "II"]), lifted=st.booleans(),
@@ -647,7 +686,7 @@ class TestThetaTable:
         # as run builds it, from the x_d table, and as monitor_L's
         # default builds it, from x_d at the nodes
         assert want.shape == (N + 1, 1)
-        for got in (theta_path(model, nodes, _xd_table(model, grid)[::2]),
+        for got in (theta_path(model, nodes, _desired(model, grid.times)[::2]),
                     theta_path(model, nodes)):
             assert got.shape == want.shape and same_bits(got, want)
         got = theta_path(model, [nodes[N // 2]])[0]

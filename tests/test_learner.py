@@ -43,6 +43,18 @@ class TestGrid:
         assert g.dt == 0.5
         assert g.nodes[-1] == g.T
 
+    def test_time_table(self):
+        # nodes at even entries, interval midpoints at odd ones; the table
+        # is not a constructor argument and leaves equality and repr alone
+        g = TimeGrid(T=2.0, N=4)
+        assert g.times == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+        assert g.times[::2] == g.nodes.tolist()
+        assert g == TimeGrid(T=2.0, N=4) != TimeGrid(T=2.0, N=5)
+        assert hash(g) == hash(TimeGrid(T=2.0, N=4))
+        assert repr(g) == "TimeGrid(T=2.0, N=4)"
+        with pytest.raises(TypeError):
+            TimeGrid(T=2.0, N=4, times=[0.0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, N=1)
