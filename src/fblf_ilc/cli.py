@@ -21,12 +21,27 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, engine, svgplot
+from .barrier import BarrierDomainError
 from .controller import ControllerConfig, Mode
 from .plant import BUILTIN_MODELS, value_bound
 
 
 class ConfigError(Exception):
     pass
+
+
+# a numerical failure exits 4 with one line, never as a traceback: a
+# blow-up, an overflow, a division by zero (a bound too small for
+# floats) or a sample grid that reaches the bound
+_NUMERICAL = (engine.NonFiniteStateError, OverflowError, FloatingPointError,
+              ZeroDivisionError, BarrierDomainError)
+
+
+def _raising(fn, *args):
+    """fn(*args) with numpy's overflow, invalid value and division by
+    zero raised as FloatingPointError, never printed as a warning."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return fn(*args)
 
 
 # key -> (type, default); a key whose default is None is absent until set
@@ -199,10 +214,8 @@ def cmd_simulate(args) -> int:
     codes = []
     for cfg_path, cfg, out_dir, svg in runs:
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                result = _run_one(cfg)
-        except (engine.NonFiniteStateError, OverflowError,
-                FloatingPointError) as exc:
+            result = _raising(_run_one, cfg)
+        except _NUMERICAL as exc:
             print(f"error: {cfg_path}: numerical failure: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             codes.append(4)
@@ -225,10 +238,8 @@ def cmd_compare_blf(args) -> int:
                   file=sys.stderr)
             return 1
     try:
-        # the vector closed forms overflow to inf and 0 for large bounds
-        with np.errstate(over="raise", invalid="raise"):
-            report = analysis.blf_report(args.bounds)
-    except (OverflowError, FloatingPointError) as exc:
+        report = _raising(analysis.blf_report, args.bounds)
+    except _NUMERICAL as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 4

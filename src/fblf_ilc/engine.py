@@ -130,31 +130,6 @@ _ARRAY = _Shape(
 )
 
 
-class _Loop(NamedTuple):
-    """A model/theorem pair bound for the closed loop; the state-dependent
-    closures take the stage state e in the loop's shape."""
-    shape: _Shape
-    value: Callable    # (e, t) -> V, the constrained quantity
-    zvec: Callable     # (e, t, V) -> z, the learning signal
-    rhs: Callable      # (e, t, u, x_d) -> de/dt
-    bound: float
-
-
-def _bind(model, config: ControllerConfig, theorem: int) -> _Loop:
-    """The model type's constraint terms bound for the closed loop, on
-    Python floats for n = m = 1 and on numpy arrays otherwise.  The
-    learning signal is z = d1(V, bound) * grad, d1 of the gain kind."""
-    shape = _FLOAT if plant.float_native(model) else _ARRAY
-    value, grad, rhs = model.loop_terms(shape)
-    bound = plant.value_bound(model, config.bound)
-    d1 = FORMS[plant.scheme(model, theorem).gain][1]
-
-    def zvec(e, t, v):
-        return d1(v, bound) * grad(e, t)
-
-    return _Loop(shape, value, zvec, rhs, bound)
-
-
 def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
     """V -> the monitor's barrier, of the model type's monitor kind."""
     form = FORMS[plant.scheme(model, theorem).monitor][0]
@@ -176,7 +151,10 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     times = grid.times
     if xd_table is None:
         xd_table = plant._desired(model, times)
-    shape, value, zvec, rhs, bound = _bind(model, config, theorem)
+    shape = _FLOAT if plant.float_native(model) else _ARRAY
+    value, grad, rhs = model.loop_terms(shape)
+    bound = plant.value_bound(model, config.bound)
+    d1 = FORMS[plant.scheme(model, theorem).gain][1]
     clamp, row, put = shape.clamp, shape.row, shape.put
     gamma = config.gamma
     n, m = model.n, model.m
@@ -202,7 +180,8 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             if not math.isfinite(v):
                 raise NonFiniteStateError(f"non-finite state at t={t}")
             raise _Breach
-        return v, zvec(e, t, v)
+        # the learning signal z = dB/dV * grad V, B of the gain kind
+        return v, d1(v, bound) * grad(e, t)
 
     def deriv(t, e, xd):
         # node i's estimate theta_hat is held across its interval

@@ -39,8 +39,9 @@ class Scheme(NamedTuple):
 class UncertaintySpec:
     """Lumped uncertainty w and the norm bound rho on its error-induced part.
 
-    rho must dominate ||w(x_d + e, t) - w(x_d, t)|| and vanish at e = 0;
-    both properties are validated by sampling, never assumed.
+    rho must dominate ||w(x_d + e, t) - w(x_d, t)|| and vanish at e = 0.
+    The closed loop assumes both; check_uncertainty_bound is the sampled
+    check a caller runs.
     """
     w: Callable[[State, float], State]
     rho: Callable[[State, float], float]

@@ -43,8 +43,8 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
     all_y = [yi for _, yi in pts]
     if hline is not None and (not ylog or hline > 0):
         all_y.append(float(hline))
-    if not all_y:
-        all_y = [0.0, 1.0]
+    if not all_y:  # a range log10 can take
+        all_y = [1.0, 10.0] if ylog else [0.0, 1.0]
     tf = math.log10 if ylog else (lambda v: v)
     ylo, yhi = min(map(tf, all_y)), max(map(tf, all_y))
     if yhi - ylo < 1e-12:

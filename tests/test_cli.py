@@ -368,6 +368,37 @@ class TestSimulate:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 4
         assert "non-finite state" in capsys.readouterr().err
 
+    # (model, fields, exit code) at the limits of each field: no input
+    # ends in a traceback
+    @pytest.mark.parametrize("model, fields, code", [
+        ("scalar-I", ["b_V = 1e-300"], 4),
+        ("scalar-I", ["b_V = 5e-324"], 4),
+        ("scalar-II", ["b_e = 1e-160"], 4),
+        ("scalar-I", ["b_V = 1e300"], 4),
+        ("scalar-II", ["b_e = 1e200"], 4),
+        ("scalar-I", ["b_V = 0.5", "T = 1e300"], 4),
+        ("scalar-I", ["b_V = 0.5", "T = 1e-100"], 0),
+        ("scalar-I", ["b_V = 0.5", "gamma = 1e300"], 0),
+        ("scalar-I", ["b_V = 0.5", "theta_bar = 1e-300"], 0),
+        ("scalar-I", ["b_V = 0.5", "theta_bar = 1e300"], 0),
+        ("scalar-I", ["b_V = 0.5", "mode = cont", "eps = 1e-300"], 0),
+        ("scalar-I", ["b_V = 0.5", "mode = cont", "eps = 1e300"], 0),
+    ])
+    def test_extreme_value_exit_code(self, tmp_path, capsys, model, fields,
+                                     code):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "\n".join(
+            [f"model = {model}", "K = 3", "N = 10", "svg = true",
+             f"out = {out}"] + fields) + "\n")
+        assert main(["simulate", str(path)]) == code
+        err = capsys.readouterr().err
+        if code == 4:
+            assert err.startswith(f"error: {path}: numerical failure: ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+            assert (out / "convergence.svg").is_file()
+
 
 class TestCompareBlf:
     def test_exit_zero_at_one(self, tmp_path, capsys):
@@ -394,6 +425,21 @@ class TestCompareBlf:
     def test_overflow_exits_4(self, tmp_path, capsys, bound):
         assert main(["compare-blf", bound, "--out", str(tmp_path)]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    # a bound too small for floats divides by 0 (about 1e-106 and below)
+    # or puts the sample grid on b (5e-324); 0.5 and 1e13 still run
+    @pytest.mark.parametrize("bound, code", [
+        ("1e-300", 4), ("5e-324", 4), ("1e-160", 4), ("1e-110", 4),
+        ("1e13", 0), ("0.5", 0)])
+    def test_bound_exit_code(self, tmp_path, capsys, bound, code):
+        assert main(["compare-blf", bound, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        if code == 4:
+            assert err.startswith("error: numerical failure: ")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "blf_report.csv").exists()
+        else:
+            assert err == ""
 
 
 class TestCheckLemmas:

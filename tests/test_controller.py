@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fblf_ilc.barrier import FORMS
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import _ARRAY, _bind
-from fblf_ilc.plant import scalar_model_i, scalar_model_ii
+from fblf_ilc.engine import _ARRAY, _FLOAT
+from fblf_ilc.plant import scalar_model_i, scalar_model_ii, scheme, value_bound
 
 
 def v(*xs):
@@ -13,11 +14,13 @@ def v(*xs):
 
 
 def zvec(model, theorem, bound):
-    """The learning signal z(e, t, V) that the engine runs, at t = 0."""
-    cfg = ControllerConfig(mode=Mode.DISC, bound=bound, gamma=1.0,
-                           theta_bar=1.0)
-    loop = _bind(model, cfg, theorem)
-    return lambda e, V: loop.zvec(loop.shape.unwrap(e), 0.0, V)
+    """The learning signal z(e, t, V) that the engine runs, at t = 0: d1
+    of the gain kind times the model's gradient, on the float loop of
+    the built-ins."""
+    grad = model.loop_terms(_FLOAT)[1]
+    d1 = FORMS[scheme(model, theorem).gain][1]
+    b = value_bound(model, bound)
+    return lambda e, V: d1(V, b) * grad(_FLOAT.unwrap(e), 0.0)
 
 
 def z_model1(theorem, V, LgV, b_V):

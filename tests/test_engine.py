@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import (_ARRAY, _FLOAT, _bind, check_delta_L, monitor_L,
-                             run, run_iteration, write_summary_csv,
+from fblf_ilc.barrier import FORMS
+from fblf_ilc.engine import (_ARRAY, _FLOAT, check_delta_L, monitor_L, run,
+                             run_iteration, write_summary_csv,
                              write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
-                            _desired, scalar_model_i, scalar_model_ii,
-                            theta_path, value_bound)
+                            _desired, float_native, scalar_model_i,
+                            scalar_model_ii, scheme, theta_path, value_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,16 +101,25 @@ class TestRunIteration:
         assert tr.breach_node is not None
         assert np.all(np.isnan(tr.V[tr.breach_node + 1:]))
 
-    def test_input_is_minus_estimate_minus_robust(self):
-        # u = -theta_hat - s(z, rho) at every node, bit for bit
-        model, cfg = scalar_model_i(), cont_cfg()
+    @pytest.mark.parametrize("theorem, cfg", [
+        pytest.param(1, disc_cfg(), id="thm1-disc"),
+        pytest.param(2, cont_cfg(), id="thm2-cont"),
+        pytest.param(1, cont_cfg(), id="thm1-cont")])
+    @pytest.mark.parametrize("name", ["I", "II"])
+    def test_input_is_minus_estimate_minus_robust(self, name, theorem, cfg):
+        # u = -theta_hat - s(z, rho) at every node, bit for bit, with
+        # z = d1(V, bound) * grad of the theorem's gain kind
+        model = FACTORIES[name]()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
-        tr = run_iteration(model, cfg, memory, theorem=2)
-        loop = _bind(model, cfg, 2)
-        robust = robust_term(cfg, loop.shape.zeros(1), loop.shape.dot)
+        tr = run_iteration(model, cfg, memory, theorem=theorem)
+        assert not tr.breach
+        grad = model.loop_terms(_FLOAT)[1]
+        d1 = FORMS[scheme(model, theorem).gain][1]
+        bound = value_bound(model, cfg.bound)
+        robust = robust_term(cfg, 0.0, _FLOAT.dot)
         for i, t in enumerate(tr.t):
-            x = loop.shape.unwrap(tr.e[i])
-            s = robust(loop.zvec(x, t, tr.V[i]),
+            x = _FLOAT.unwrap(tr.e[i])
+            s = robust(d1(tr.V[i], bound) * grad(x, t),
                        model.uncertainty.rho(x, t))
             np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
@@ -422,8 +432,8 @@ class TestArrayForm:
         model = FACTORIES[name]()
         scalar = run(model, cfg, K=3, N=N, theorem=theorem)
         lifted = run(lift(model), cfg, K=3, N=N, theorem=theorem)
-        assert _bind(model, cfg, theorem).shape is _FLOAT
-        assert _bind(lift(model), cfg, theorem).shape is _ARRAY
+        assert float_native(model)
+        assert not float_native(lift(model))
         for a, b in zip(scalar.traces, lifted.traces):
             assert (a.breach, a.breach_node) == (b.breach, b.breach_node)
             assert np.array_equal(a.e, b.e[:, :1], equal_nan=True)

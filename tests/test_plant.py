@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fblf_ilc.controller import ControllerConfig, Mode
-from fblf_ilc.engine import _bind, run
+from fblf_ilc.engine import _FLOAT, run
 from fblf_ilc.plant import (ErrorModelII, UncertaintySpec, check_certificate,
                             check_uncertainty_bound, delta_w,
                             lyapunov_residual, scalar_model_i,
@@ -30,11 +30,11 @@ def v(x):
 
 
 def rhs(model, t, e, u):
-    """The error dynamics the engine integrates, at the desired state x_d(t)."""
-    cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
-    loop = _bind(model, cfg, 1)
-    unwrap = loop.shape.unwrap
-    return loop.rhs(unwrap(e), t, unwrap(u), unwrap(model.x_d(t)))
+    """The error dynamics the engine integrates, at the desired state x_d(t),
+    on the float loop of the built-ins."""
+    unwrap = _FLOAT.unwrap
+    return model.loop_terms(_FLOAT)[2](unwrap(e), t, unwrap(u),
+                                       unwrap(model.x_d(t)))
 
 
 class TestRhsModel1:
@@ -53,11 +53,9 @@ class TestRhsModel1:
     def test_dimension_mismatch(self, m1):
         # the model's f and g see a 2-vector state, whose output the
         # engine's rhs cannot read into the scalar loop
-        cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0,
-                               theta_bar=1.0)
-        loop = _bind(m1, cfg, 1)
+        rhs = m1.loop_terms(_FLOAT)[2]
         with pytest.raises(ValueError):
-            loop.rhs(np.zeros(2), 0.0, 0.0, 0.0)
+            rhs(np.zeros(2), 0.0, 0.0, 0.0)
 
 
 class TestRhsModel2:

@@ -39,3 +39,13 @@ def test_series_label_and_cap_drawn(tmp_path):
     assert [el.get("stroke-dasharray") for el in root.iter(SVG + "line")
             if el.get("stroke-dasharray")] == ["6 4"]
     assert "sup V_k" in [el.text for el in root.iter(SVG + "text")]
+
+
+@pytest.mark.parametrize("ys", [[0.0, 0.0, 0.0], [0.0, math.nan, -1.0]])
+def test_log_axis_with_no_positive_point(tmp_path, ys):
+    # nothing to draw on a log axis: the axis still has a range
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [0, 1, 2], "sup|e|", ys, ylog=True)
+    root = ET.parse(path).getroot()
+    assert list(root.iter(SVG + "polyline")) == []
+    assert len(y_labels(path)) >= 2
