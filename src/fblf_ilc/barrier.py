@@ -1,6 +1,6 @@
 """Catalog of barrier Lyapunov functions with exact calculus.
 
-Seven closed-form barriers of a Lyapunov value V with bound b > 0,
+Seven closed-form barriers of a Lyapunov value V with a finite bound b > 0,
 two logarithmic (LI, LII) and five fractional (FI..FV).  Each kind
 carries analytic first and second derivatives, vectorized over V.
 
@@ -38,8 +38,9 @@ class BarrierKind(Enum):
 
 
 def _check_bound(b):
-    if not b > 0:
-        raise BarrierDomainError(f"barrier bound must be positive, got {b}")
+    if not 0 < b < math.inf:
+        raise BarrierDomainError(
+            f"barrier bound must be positive and finite, got {b}")
 
 
 def _check_domain(V, b):
@@ -51,44 +52,56 @@ def _check_domain(V, b):
     return V
 
 
+def _square(x):
+    return x * x
+
+
+def _cube(x):
+    return x * x * x
+
+
 # value, d/dV, d2/dV2 for each kind; V is an array or a float, b a scalar.
-# The engine calls these forms directly, so their spelling fixes its
-# output bit for bit: b * b and b ** 2 round differently for some b.
+# The engine calls the value and d1 forms directly, so their spelling
+# fixes its output bit for bit: b * b and b ** 2 round differently for
+# some b.  The d2 forms spell the powers of x = b - V as products:
+# numpy's array x ** 3 costs about five times x * x * x, and Python's pow
+# rounds some squares and cubes apart from numpy's array loops, while
+# IEEE products round the same on a float and an array.
 FORMS = {
     BarrierKind.LI: (
         lambda V, b: np.log(b / (b - V)),
         lambda V, b: 1.0 / (b - V),
-        lambda V, b: 1.0 / (b - V) ** 2,
+        lambda V, b: 1.0 / _square(b - V),
     ),
     BarrierKind.LII: (
         lambda V, b: V + np.log(b / (b - V)),
         lambda V, b: 1.0 + 1.0 / (b - V),
-        lambda V, b: 1.0 / (b - V) ** 2,
+        lambda V, b: 1.0 / _square(b - V),
     ),
     BarrierKind.FI: (
         lambda V, b: V / (b - V),
         lambda V, b: b / (b - V) ** 2,
-        lambda V, b: 2.0 * b / (b - V) ** 3,
+        lambda V, b: 2.0 * b / _cube(b - V),
     ),
     BarrierKind.FII: (
         lambda V, b: b * V / (b - V),
         lambda V, b: b * b / (b - V) ** 2,
-        lambda V, b: 2.0 * b ** 2 / (b - V) ** 3,
+        lambda V, b: 2.0 * b * b / _cube(b - V),
     ),
     BarrierKind.FIII: (
         lambda V, b: (b + 1.0 - V) * V / (b - V),
         lambda V, b: 1.0 + b / (b - V) ** 2,
-        lambda V, b: 2.0 * b / (b - V) ** 3,
+        lambda V, b: 2.0 * b / _cube(b - V),
     ),
     BarrierKind.FIV: (
         lambda V, b: (2.0 * b - V) * V / (b - V),
         lambda V, b: 1.0 + b ** 2 / (b - V) ** 2,
-        lambda V, b: 2.0 * b ** 2 / (b - V) ** 3,
+        lambda V, b: 2.0 * b * b / _cube(b - V),
     ),
     BarrierKind.FV: (
         lambda V, b: (b + 1.0) * V / (b - V),
         lambda V, b: b * (b + 1.0) / (b - V) ** 2,
-        lambda V, b: 2.0 * b * (b + 1.0) / (b - V) ** 3,
+        lambda V, b: 2.0 * b * (b + 1.0) / _cube(b - V),
     ),
 }
 
@@ -106,7 +119,8 @@ def _apply(idx, kind, V, b):
     Va = np.asarray(V, dtype=float)
     if Va.ndim == 0:
         # numpy's scalar ** rounds like Python's pow, its array loops do
-        # not: a 0-d input stays 0-d so a float keeps its bits
+        # not: a 0-d input stays 0-d so a float keeps its d1 bits, as
+        # the d1 forms still square b - V with **
         return float(form(_check_domain(Va, b), b))
     src = Va.reshape(-1)
     head = form(_check_domain(src[:_BLOCK], b), b)

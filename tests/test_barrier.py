@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fblf_ilc import barrier
+from fblf_ilc.analysis import blf_report
 from fblf_ilc.barrier import (FORMS, BarrierDomainError, BarrierKind,
                               blf_d1, blf_d2, blf_eval,
                               default_bound_sequence, ibp_probe, verify_order)
@@ -62,8 +64,36 @@ class TestEval:
             blf_d2(BarrierKind.FI, bad_v, 1.0)
 
     def test_nonpositive_bound_rejected(self):
-        with pytest.raises(BarrierDomainError):
+        with pytest.raises(BarrierDomainError, match="positive and finite"):
             blf_eval(BarrierKind.LI, 0.0, 0.0)
+
+
+class TestBoundMustBeFinite:
+    """b = inf is rejected before any form runs, not read as NaN."""
+
+    MESSAGE = r"^barrier bound must be positive and finite, got inf$"
+
+    @pytest.mark.parametrize("V", [0.5, np.array(0.5), np.array([0.0, 0.5])])
+    @pytest.mark.parametrize("fn", ORDERS)
+    def test_kernels(self, fn, V):
+        with pytest.raises(BarrierDomainError, match=self.MESSAGE):
+            fn(BarrierKind.LI, V, math.inf)
+
+    @pytest.mark.parametrize("b", [math.inf, np.float64(np.inf)])
+    def test_verify_order(self, b):
+        with pytest.raises(BarrierDomainError, match=self.MESSAGE):
+            verify_order(BarrierKind.LI, BarrierKind.FI, b)
+
+    @pytest.mark.parametrize("seq", [[10.0, math.inf],
+                                     np.array([10.0, np.inf])])
+    def test_ibp_probe(self, seq):
+        with pytest.raises(BarrierDomainError, match=self.MESSAGE):
+            ibp_probe(BarrierKind.FII, 1.0, seq)
+
+    @pytest.mark.parametrize("bounds", [[math.inf], [1.0, math.inf]])
+    def test_blf_report(self, bounds):
+        with pytest.raises(BarrierDomainError, match=self.MESSAGE):
+            blf_report(bounds)
 
 
 class TestDerivatives:
@@ -288,3 +318,44 @@ class TestFloatArrayAgreement:
         form = FORMS[kind][0]
         on_floats = [form(v, b) for v in V.tolist()]
         assert np.array_equal(bits(on_floats), bits(form(V, b)))
+
+    # d1 is left out: its forms still use ** 2, whose float and array
+    # roundings differ, and respelling them moves golden digests
+    # (ROADMAP item 4)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("b", [0.5, 2.0, 17.3])
+    def test_d2_forms_same_bits(self, kind, b):
+        V = np.random.default_rng(5).uniform(0.0, b, 5000)
+        form = FORMS[kind][2]
+        on_floats = [form(v, b) for v in V.tolist()]
+        assert np.array_equal(bits(on_floats), bits(form(V, b)))
+
+
+# d2 in exact rational arithmetic on the same float V and b
+EXACT_D2 = {
+    BarrierKind.LI: lambda V, b: 1 / (b - V) ** 2,
+    BarrierKind.LII: lambda V, b: 1 / (b - V) ** 2,
+    BarrierKind.FI: lambda V, b: 2 * b / (b - V) ** 3,
+    BarrierKind.FII: lambda V, b: 2 * b * b / (b - V) ** 3,
+    BarrierKind.FIII: lambda V, b: 2 * b / (b - V) ** 3,
+    BarrierKind.FIV: lambda V, b: 2 * b * b / (b - V) ** 3,
+    BarrierKind.FV: lambda V, b: 2 * b * (b + 1) / (b - V) ** 3,
+}
+
+
+class TestD2Accuracy:
+    # the products round b - V, its powers and the quotient: the worst
+    # of these samples is 4.9e-16, while a spelling in V/b, whose
+    # 1 - V/b cancels near the pole, or exp(-3 log x) misses by 1e-14
+    # or more
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_within_1e15_of_exact(self, kind):
+        worst = 0.0
+        for b in (0.5, 2.0, 17.3):
+            V = np.random.default_rng(7).uniform(0.0, b, 1000)
+            V[0] = np.nextafter(b, 0.0)
+            got = blf_d2(kind, V, b)
+            for v, g in zip(V.tolist(), got.tolist()):
+                exact = EXACT_D2[kind](Fraction(v), Fraction(b))
+                worst = max(worst, float(abs(Fraction(g) - exact) / exact))
+        assert worst < 1e-15
