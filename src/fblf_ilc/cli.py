@@ -97,7 +97,12 @@ def parse_config(path) -> RunConfig:
     bound_keys = [m.bound_key for m in models.values()]
     values = {k: default for k, (_, default) in _FIELDS.items()
               if default is not None}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        # utf-8-sig: a byte-order mark is not part of the first key
+        text = path.read_text(encoding="utf-8-sig")
+    except (UnicodeDecodeError, OSError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -31,13 +31,13 @@ class ControllerConfig:
     eps: float | None = None
 
     def __post_init__(self):
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.theta_bar > 0:
-            raise ValueError("theta_bar must be positive")
-        if self.mode is Mode.CONT and not (self.eps is not None and self.eps > 0):
+        # the comparison is false for NaN too
+        for name in ("bound", "gamma", "theta_bar", "eps"):
+            x = getattr(self, name)
+            if x is not None and not 0 < x < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {x}")
+        if self.mode is Mode.CONT and self.eps is None:
             raise ValueError("continuous mode requires eps > 0")
 
 

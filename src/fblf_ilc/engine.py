@@ -69,7 +69,7 @@ class IterationSummary:
 class RunResult:
     model: object
     config: ControllerConfig
-    theorem: int
+    scheme: plant.Scheme
     grid: TimeGrid
     summaries: list[IterationSummary] = field(default_factory=list)
     traces: list[IterationTrace] = field(default_factory=list)
@@ -130,18 +130,18 @@ _ARRAY = _Shape(
 )
 
 
-def _blf(model, config: ControllerConfig, theorem: int) -> Callable:
-    """V -> the monitor's barrier, of the model type's monitor kind."""
-    form = FORMS[plant.scheme(model, theorem).monitor][0]
+def _blf(model, config: ControllerConfig, scheme: plant.Scheme) -> Callable:
+    """V -> the monitor's barrier, of scheme's monitor kind."""
+    form = FORMS[scheme.monitor][0]
     bound = plant.value_bound(model, config.bound)
     return lambda v: model.barrier_scale * form(v, bound)
 
 
 def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
-                  theorem: int = 1, k: int = 0,
+                  scheme: plant.Scheme, k: int = 0,
                   xd_table: list | None = None) -> IterationTrace:
-    """Run one iteration of the closed loop, updating memory in place; each
-    stage reads its time off grid.times, where xd_table was read."""
+    """Run one iteration of scheme's closed loop, updating memory in place;
+    each stage reads its time off grid.times, where xd_table was read."""
     grid = memory.grid
     if abs(grid.T - model.T) > 1e-9:
         raise ValueError("memory grid horizon does not match model horizon")
@@ -154,7 +154,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     shape = _FLOAT if plant.float_native(model) else _ARRAY
     value, grad, rhs = model.loop_terms(shape)
     bound = plant.value_bound(model, config.bound)
-    d1 = FORMS[plant.scheme(model, theorem).gain][1]
+    d1 = FORMS[scheme.gain][1]
     clamp, row, put = shape.clamp, shape.row, shape.put
     gamma = config.gamma
     n, m = model.n, model.m
@@ -223,17 +223,17 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
 
 def monitor_L(trace: IterationTrace, model, config: ControllerConfig,
-              theorem: int = 1,
+              scheme: plant.Scheme,
               theta_table: np.ndarray | None = None) -> np.ndarray:
     """Per-node Lyapunov-Krasovskii monitor.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
-    with theta the true learnable uncertainty (simulation-only) and the
-    integral taken by the trapezoid rule on the grid and gamma the
-    learning gain of config.  NaN past a breach.  theta_table, theta at
-    every node, is computed when not given.
+    with BLF of scheme's monitor kind, theta the true learnable
+    uncertainty (simulation-only), the integral taken by the trapezoid
+    rule on the grid and gamma the learning gain of config.  NaN past a
+    breach.  theta_table, theta at every node, is computed when not given.
     """
-    blf = _blf(model, config, theorem)
+    blf = _blf(model, config, scheme)
     sel = trace.valid
     if not sel.stop:
         return trace.L
@@ -249,20 +249,21 @@ def monitor_L(trace: IterationTrace, model, config: ControllerConfig,
 
 def run(model, config: ControllerConfig, K: int, N: int = 2000,
         theorem: int = 1) -> RunResult:
-    """Execute K iterations threading the parameter memory."""
+    """Execute K iterations of theorem's scheme, threading the memory."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    scheme = plant.scheme(model, theorem)
     grid = TimeGrid(T=model.T, N=N)
     memory = ParamMemory(grid, m=model.m, bound=config.theta_bar)
-    result = RunResult(model=model, config=config, theorem=theorem,
+    result = RunResult(model=model, config=config, scheme=scheme,
                        grid=grid, memory=memory)
     xd_table = plant._desired(model, grid.times)
     theta_table = plant.theta_path(model, grid.times[::2], xd_table[::2])
     prev_LT = None
     for k in range(K):
-        tr = run_iteration(model, config, memory, theorem=theorem, k=k,
+        tr = run_iteration(model, config, memory, scheme, k=k,
                            xd_table=xd_table)
-        monitor_L(tr, model, config, theorem=theorem, theta_table=theta_table)
+        monitor_L(tr, model, config, scheme, theta_table=theta_table)
         sel = tr.valid
         sup_e = float(np.max(np.linalg.norm(tr.e[sel], axis=1))) if sel.stop else float("nan")
         sup_V = float(np.max(tr.V[sel])) if sel.stop else float("nan")
@@ -290,13 +291,12 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     """Verify the per-iteration decrease of the monitor at t = T.
 
     The model type names the required decrease: V_{k-1}(T) for model I,
-    the BLF value W_{k-1}(T) for model II; a theorem whose scheme is
-    smoothed adds an eps*T allowance.
+    the BLF value W_{k-1}(T) for model II; a smoothed scheme adds an
+    eps*T allowance.
     """
-    model, config, theorem = result.model, result.config, result.theorem
-    blf = _blf(model, config, theorem)
-    smoothed = plant.scheme(model, theorem).smoothed
-    residual = (config.eps or 0.0) * result.grid.T if smoothed else 0.0
+    model, config, scheme = result.model, result.config, result.scheme
+    blf = _blf(model, config, scheme)
+    residual = (config.eps or 0.0) * result.grid.T if scheme.smoothed else 0.0
     verdicts = []
     for k in range(1, len(result.traces)):
         prev, cur = result.traces[k - 1], result.traces[k]

@@ -9,6 +9,7 @@ applied on every read, so the per-iteration recursion is
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -34,8 +35,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be >= 2")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         object.__setattr__(self, "times", np.linspace(
             0.0, self.T, 2 * self.N + 1).tolist())
 

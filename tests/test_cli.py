@@ -7,7 +7,7 @@ import pytest
 from fblf_ilc import cli, engine, plant, svgplot
 from fblf_ilc.cli import main, parse_config, ConfigError
 from fblf_ilc.controller import ControllerConfig, Mode
-from fblf_ilc.learner import ParamMemory, TimeGrid
+from fblf_ilc.learner import ParamMemory
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -52,6 +52,13 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.cfg")
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # the comment line dropped, so that the mark precedes "model"
+        body = textwrap.dedent(GOOD_CONFIG).split("\n", 1)[1]
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert parse_config(path).model == "scalar-I"
 
     def test_unknown_field(self, tmp_path):
         path = write_config(tmp_path, "model = scalar-I\nbogus = 1\n")
@@ -179,20 +186,24 @@ class TestSmoothedTheoremNumbered3:
             cfg = parse_config(self.config(tmp_path, 3, extra))
             assert (cfg.theorem, cfg.mode) == (3, mode)
 
-    def test_theorem_2_rejected(self, tmp_path):
+    def test_theorem_2_rejected(self, tmp_path, monkeypatch):
         with pytest.raises(ConfigError, match=r"field 'theorem' must be one "
                                               r"of \[1, 3\], got 2"):
             parse_config(self.config(tmp_path, 2, "mode = cont\neps = 0.01\n"))
+        # engine.run's one lookup rejects it before building a memory
+        memories = []
+
+        def recorded(*args, **kwargs):
+            memories.append(ParamMemory(*args, **kwargs))
+            return memories[-1]
+
+        monkeypatch.setattr(engine, "ParamMemory", recorded)
         model = built_as(SmoothedThree)()
-        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=1, bound=1.0)
         with pytest.raises(ValueError, match=r"must be one of \[1, 3\]"):
-            engine.run_iteration(model, self.CONT, memory, theorem=2)
-        result = engine.run(model, self.CONT, K=2, N=10, theorem=3)
-        with pytest.raises(ValueError, match=r"must be one of \[1, 3\]"):
-            engine.monitor_L(result.traces[0], model, self.CONT, theorem=2)
-        result.theorem = 2
-        with pytest.raises(ValueError, match=r"must be one of \[1, 3\]"):
-            engine.check_delta_L(result)
+            engine.run(model, self.CONT, K=2, N=10, theorem=2)
+        assert memories == []
+        assert engine.run(model, self.CONT, K=2, N=10,
+                          theorem=3).scheme.smoothed
 
     def test_delta_L_allowance(self):
         result = engine.run(built_as(SmoothedThree)(), self.CONT, K=4, N=100,
@@ -231,6 +242,28 @@ class TestSimulate:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        # a Latin-1 e-acute in a comment
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(textwrap.dedent(GOOD_CONFIG).replace(
+            "# scalar", "# caf\u00e9, scalar").encode("latin-1"))
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, GOOD_CONFIG)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert "Permission denied" in err and err.count("\n") == 1
 
     def test_bad_bound_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblf_ilc.barrier import FORMS
@@ -131,13 +133,18 @@ class TestRobustCont:
     @given(z=st.lists(st.floats(-1e2, 1e2), min_size=2, max_size=2),
            dw_dir=st.lists(st.floats(-1, 1), min_size=2, max_size=2),
            rho=st.floats(0.0, 1e2), eps=st.floats(1e-9, 1.0))
+    @example(z=[0.0, 1.0], dw_dir=[0.0, 1.0266e-161], rho=6.0, eps=0.5)
     def test_smoothing_damage_bounded(self, z, dw_dir, rho, eps):
         # z . (dw - s) <= eps whenever |dw| <= rho
         z = np.array(z)
         dw = np.array(dw_dir)
-        norm = np.linalg.norm(dw)
-        if norm > 0:
-            dw = dw / norm * rho
+        top = np.max(np.abs(dw))
+        if top > 0:
+            # scaled to a largest component of 1 first: a tiny component
+            # squares to a subnormal that has lost bits, so its norm
+            # comes out too small and |dw| would exceed rho
+            dw = dw / top
+            dw = dw / np.linalg.norm(dw) * rho
         s = robust_cont(z, rho, eps)
         assert float(z @ (dw - s)) <= eps + 1e-9
 
@@ -154,3 +161,15 @@ class TestConfig:
             base.update(kwargs)
             with pytest.raises(ValueError):
                 ControllerConfig(**base)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["bound", "gamma", "theta_bar", "eps"])
+    def test_non_finite_fields_rejected(self, name, value):
+        # an infinite bound would build and only fail later, in run, as
+        # a non-finite state
+        base = dict(mode=Mode.CONT, bound=1.0, gamma=1.0, theta_bar=1.0,
+                    eps=0.1)
+        base[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be positive "
+                                             f"and finite, got {value}$"):
+            ControllerConfig(**base)

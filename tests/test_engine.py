@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fblf_ilc import engine, plant
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
 from fblf_ilc.barrier import FORMS
 from fblf_ilc.engine import (_ARRAY, _FLOAT, check_delta_L, monitor_L, run,
@@ -73,7 +74,7 @@ class TestRunIteration:
     def test_origin_invariant_without_uncertainty(self):
         model = quiet_model()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
-        tr = run_iteration(model, disc_cfg(), memory)
+        tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1))
         assert not tr.breach
         np.testing.assert_allclose(tr.e, 0.0, atol=1e-15)
         np.testing.assert_allclose(tr.u, 0.0, atol=1e-15)
@@ -82,13 +83,15 @@ class TestRunIteration:
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
         for k in range(3):
-            tr = run_iteration(model, disc_cfg(), memory, k=k)
+            tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1),
+                               k=k)
             assert tr.e[0] == pytest.approx(0.0)
 
     def test_constraint_respected_iteration_zero(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=500), m=1, bound=1.0)
-        tr = run_iteration(model, disc_cfg(bound=0.5), memory)
+        tr = run_iteration(model, disc_cfg(bound=0.5), memory,
+                           scheme(model, 1))
         assert not tr.breach
         assert np.max(tr.V) < 0.5
 
@@ -96,7 +99,8 @@ class TestRunIteration:
         # a bound this tight is violated immediately by the transient
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=500), m=1, bound=1.0)
-        tr = run_iteration(model, disc_cfg(bound=1e-6), memory)
+        tr = run_iteration(model, disc_cfg(bound=1e-6), memory,
+                           scheme(model, 1))
         assert tr.breach
         assert tr.breach_node is not None
         assert np.all(np.isnan(tr.V[tr.breach_node + 1:]))
@@ -111,7 +115,7 @@ class TestRunIteration:
         # z = d1(V, bound) * grad of the theorem's gain kind
         model = FACTORIES[name]()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
-        tr = run_iteration(model, cfg, memory, theorem=theorem)
+        tr = run_iteration(model, cfg, memory, scheme(model, theorem))
         assert not tr.breach
         grad = model.loop_terms(_FLOAT)[1]
         d1 = FORMS[scheme(model, theorem).gain][1]
@@ -139,14 +143,16 @@ class TestRunIteration:
         N = 50
         one = replace_callables(scalar_model_i(), counted)
         memory = ParamMemory(TimeGrid(T=one.T, N=N), m=1, bound=1.0)
-        assert not run_iteration(one, disc_cfg(), memory).breach
+        assert not run_iteration(one, disc_cfg(), memory,
+                                 scheme(one, 1)).breach
         assert counts == {"f": 4 * N, "g": 4 * N, "w": 4 * N,
                           "V": 4 * N + 1, "LgV": 4 * N + 1, "rho": 4 * N + 1}
 
         counts.clear()
         two = replace_callables(scalar_model_ii(), counted)
         memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1, bound=1.0)
-        assert not run_iteration(two, disc_cfg(bound=1.0), memory).breach
+        assert not run_iteration(two, disc_cfg(bound=1.0), memory,
+                                 scheme(two, 1)).breach
         assert counts == {"w": 4 * N, "rho": 4 * N + 1}
 
     @pytest.mark.parametrize("name", ["I", "II"])
@@ -163,7 +169,7 @@ class TestRunIteration:
         model = replace_callables(FACTORIES[name](), typed)
         memory = ParamMemory(TimeGrid(T=model.T, N=50), m=1, bound=1.0)
         cfg = disc_cfg(bound=REF_BOUND[name])
-        assert not run_iteration(model, cfg, memory).breach
+        assert not run_iteration(model, cfg, memory, scheme(model, 1)).breach
         fields = (("V", "LgV", "f", "g", "w", "rho") if name == "I"
                   else ("w", "rho"))
         assert seen == {(field, float) for field in fields}
@@ -186,24 +192,29 @@ class TestRunIteration:
         assert same_bits([dataclasses.astuple(s) for s in want.summaries],
                          [dataclasses.astuple(s) for s in got.summaries])
 
-    def test_theorem_outside_the_model_types_table_rejected(self):
-        # the loop and both monitors raise the same error, not a KeyError
-        model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=1, bound=1.0)
+    def test_theorem_outside_the_model_types_table_rejected(self,
+                                                            monkeypatch):
+        # run's one lookup raises a ValueError, not a KeyError, before it
+        # builds a memory that the loop would learn into
+        memories = []
+
+        def recorded(*args, **kwargs):
+            memories.append(ParamMemory(*args, **kwargs))
+            return memories[-1]
+
+        monkeypatch.setattr(engine, "ParamMemory", recorded)
         with pytest.raises(ValueError, match="theorem must be one of"):
-            run_iteration(model, disc_cfg(), memory, theorem=3)
-        result = run(model, disc_cfg(), K=2, N=10)
-        with pytest.raises(ValueError, match="theorem must be one of"):
-            monitor_L(result.traces[0], model, disc_cfg(), theorem=3)
-        result.theorem = 3
-        with pytest.raises(ValueError, match="theorem must be one of"):
-            check_delta_L(result)
+            run(scalar_model_i(), disc_cfg(), K=2, N=10, theorem=3)
+        assert memories == []
+        run(scalar_model_i(), disc_cfg(), K=2, N=10, theorem=1)
+        memory, = memories
+        assert memory.theta_star.any()
 
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=1.0, N=100), m=1, bound=1.0)
         with pytest.raises(ValueError):
-            run_iteration(model, disc_cfg(), memory)
+            run_iteration(model, disc_cfg(), memory, scheme(model, 1))
 
     def test_saturation_bound_mismatch_rejected(self):
         # the monitor and the saturation statistics read theta_bar, so a
@@ -213,7 +224,7 @@ class TestRunIteration:
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=5.0)
         with pytest.raises(ValueError, match=r"memory saturation bound 5\.0 "
                                              r"does not match theta_bar 0\.1"):
-            run_iteration(model, cfg, memory)
+            run_iteration(model, cfg, memory, scheme(model, 1))
         assert not memory.theta_star.any()
 
     def test_stage_times_are_desired_path_times(self):
@@ -243,7 +254,7 @@ class TestRunIteration:
         model = scalar_model_i()
         N = 500
         memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
-        tr = run_iteration(model, cont_cfg(eps=1e-2), memory)
+        tr = run_iteration(model, cont_cfg(eps=1e-2), memory, scheme(model, 1))
         dt = model.T / N
         jumps = np.abs(np.diff(tr.u[:, 0]))
         # du/dt is bounded along the trace, so node jumps scale with dt
@@ -257,25 +268,25 @@ class TestMonitor:
         model = scalar_model_i()
         gamma = 2.0
         memory = ParamMemory(TimeGrid(T=model.T, N=2000), m=1, bound=1.0)
-        tr = run_iteration(quiet_model(), disc_cfg(), memory)
+        tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         # overwrite with the built-in model's theta: int 0.25 sin^2 = 0.25*pi
-        L = monitor_L(tr, model, disc_cfg(), theorem=1)
+        L = monitor_L(tr, model, disc_cfg(), scheme(model, 1))
         assert L[-1] == pytest.approx(0.25 * math.pi / (2 * gamma), rel=1e-6)
 
     def test_perfect_estimate_gives_zero(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
-        tr = run_iteration(quiet_model(), disc_cfg(), memory)
+        tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         for i, t in enumerate(tr.t):
             tr.theta_hat[i] = 0.5 * math.sin(t)
-        L = monitor_L(tr, model, disc_cfg(), theorem=1)
+        L = monitor_L(tr, model, disc_cfg(), scheme(model, 1))
         np.testing.assert_allclose(L, 0.0, atol=1e-12)
 
     def test_nondecreasing_when_v_zero(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
-        tr = run_iteration(quiet_model(), disc_cfg(), memory)
-        L = monitor_L(tr, model, disc_cfg(), theorem=1)
+        tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
+        L = monitor_L(tr, model, disc_cfg(), scheme(model, 1))
         assert np.all(np.diff(L) >= -1e-15)
 
 
@@ -284,9 +295,24 @@ class TestRun:
         model = scalar_model_i()
         result = run(model, disc_cfg(), K=1, N=200)
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
-        tr = run_iteration(model, disc_cfg(), memory)
+        tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1))
         np.testing.assert_allclose(result.traces[0].e, tr.e)
         assert len(result.summaries) == 1
+
+    def test_scheme_looked_up_once(self, monkeypatch):
+        # run resolves its theorem once; the loop, the monitor and the
+        # delta-L check read the Scheme it keeps
+        calls = []
+
+        def counted(model, theorem):
+            calls.append(theorem)
+            return scheme(model, theorem)
+
+        monkeypatch.setattr(plant, "scheme", counted)
+        result = run(scalar_model_i(), disc_cfg(), K=3, N=50, theorem=1)
+        check_delta_L(result)
+        assert calls == [1]
+        assert result.scheme == ErrorModelI.theorems[1]
 
     def test_estimates_bounded_everywhere(self):
         result = run(scalar_model_i(), disc_cfg(), K=5, N=300)
@@ -457,7 +483,7 @@ class TestArrayForm:
             memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
             memory.theta_star[:] = 0.25
             before = memory.theta_star.copy()
-            tr = run_iteration(model, cfg, memory)
+            tr = run_iteration(model, cfg, memory, scheme(model, 1))
             assert tr.breach and 0 < tr.breach_node < N
             # the breach is inside the interval after breach_node, whose
             # node was learned before its stages ran
@@ -475,7 +501,8 @@ class TestArrayForm:
     def test_breach_leaves_later_rows_nan(self, name, bound, N, at_node):
         for model in (FACTORIES[name](), lift(FACTORIES[name]())):
             memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
-            tr = run_iteration(model, disc_cfg(bound=bound), memory)
+            tr = run_iteration(model, disc_cfg(bound=bound), memory,
+                               scheme(model, 1))
             assert tr.breach and 0 < tr.breach_node < N
             first = tr.breach_node if at_node else tr.breach_node + 1
             for f in ("e", "u", "V", "theta_hat"):
@@ -490,7 +517,7 @@ class TestArrayForm:
             base.certificate, V=lambda e, t: 1.0 + 0.5 * (e * e)))
         for each in (model, lift(model)):
             memory = ParamMemory(TimeGrid(T=each.T, N=10), m=1, bound=1.0)
-            tr = run_iteration(each, disc_cfg(), memory)
+            tr = run_iteration(each, disc_cfg(), memory, scheme(each, 1))
             assert tr.breach and tr.breach_node == 0
             for f in ("e", "u", "V", "theta_hat"):
                 assert np.all(np.isnan(getattr(tr, f))), f
@@ -501,6 +528,42 @@ SIGNED = [0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-200, -1e-200, 5e-324, 1e300]
 
 def same_bits(a, b):
     return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def two_channel_model():
+    """Two identical decoupled channels of model II: A = -I, B = I,
+    P = I/2, Q = I, x_d = (sin t, sin t), w = x/2 and rho = |e|/2."""
+    eye = np.eye(2)
+    unc = UncertaintySpec(w=lambda x, t: 0.5 * x,
+                          rho=lambda e, t: 0.5 * float(np.linalg.norm(e)))
+    return ErrorModelII(A=-eye, b=eye, P=0.5 * eye, Q=eye,
+                        x_d=lambda t: np.array([math.sin(t), math.sin(t)]),
+                        uncertainty=unc, T=TWO_PI)
+
+
+class TestTwoInputs:
+    """m = 2 through the engine's array form: the two channels see the
+    same arithmetic, so they learn and track bit for bit alike."""
+
+    @pytest.mark.parametrize("theorem, cfg", [
+        pytest.param(1, disc_cfg(bound=1.0), id="thm1-disc"),
+        pytest.param(2, cont_cfg(bound=1.0, eps=1e-2), id="thm2-cont")])
+    def test_identical_channels(self, tmp_path, theorem, cfg):
+        model = two_channel_model()
+        assert (model.n, model.m) == (2, 2)
+        result = run(model, cfg, K=5, N=400, theorem=theorem)
+        assert not result.any_breach
+        for tr in result.traces:
+            for f in ("e", "u", "theta_hat"):
+                col = getattr(tr, f)
+                assert same_bits(col[:, 0], col[:, 1]), f
+            assert np.max(np.abs(tr.theta_hat)) <= cfg.theta_bar
+        verdicts = check_delta_L(result)
+        assert len(verdicts) == 4 and all(v.passed for v in verdicts)
+        write_trace_csv(result, tmp_path / "trace.csv")
+        header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+        assert header == ("k,t,e0,e1,u0,u1,V,L,theta_hat0,theta_hat1,"
+                          "breach")
 
 
 class TestFloatShape:

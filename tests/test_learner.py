@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,13 @@ class TestGrid:
             TimeGrid(T=1.0, N=1)
         with pytest.raises(ValueError):
             TimeGrid(T=0.0, N=4)
+
+    @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, T):
+        # an infinite T would build a times table that starts with nan
+        with pytest.raises(ValueError,
+                           match=f"^T must be positive and finite, got {T}$"):
+            TimeGrid(T=T, N=4)
 
 
 class TestUpdate:
