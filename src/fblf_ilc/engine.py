@@ -84,6 +84,13 @@ class _Breach(Exception):
     """V reached the bound at a node or stage of the current interval."""
 
 
+def _leave_domain(v, t):
+    """Raise for V = v at or past its bound at t: a blow-up or a breach."""
+    if not math.isfinite(v):
+        raise NonFiniteStateError(f"non-finite state at t={t}")
+    raise _Breach
+
+
 def _item(a) -> float:
     # a float (as the built-ins return), a numpy scalar or a 1-element array
     if type(a) is float:
@@ -115,7 +122,7 @@ _FLOAT = _Shape(
     dot=lambda a, b: 0.0 + a * b,
     matvec=lambda M, x: 0.0 + M * x,
     clamp=lambda v, b: -b if v < -b else (b if v > b else v),
-    row=lambda a, i: a.item(i, 0),
+    row=np.ndarray.item,  # m = 1: row i's flat index is i
     put=_put_float,
     zeros=lambda n: 0.0,
 )
@@ -143,7 +150,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     """Run one iteration of scheme's closed loop, updating memory in place;
     each stage reads its time off grid.times, where xd_table was read."""
     grid = memory.grid
-    if abs(grid.T - model.T) > 1e-9:
+    if grid.T != model.T:  # run builds its grid from model.T
         raise ValueError("memory grid horizon does not match model horizon")
     if memory.bound != config.theta_bar:
         raise ValueError(f"memory saturation bound {memory.bound} does not "
@@ -174,18 +181,12 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
     rho = model.uncertainty.rho
 
-    def probe(t, e):
+    def deriv(t, e, xd):
         v = value(e, t)
         if not v < bound:
-            if not math.isfinite(v):
-                raise NonFiniteStateError(f"non-finite state at t={t}")
-            raise _Breach
-        # the learning signal z = dB/dV * grad V, B of the gain kind
-        return v, d1(v, bound) * grad(e, t)
-
-    def deriv(t, e, xd):
+            _leave_domain(v, t)
+        z = d1(v, bound) * grad(e, t)
         # node i's estimate theta_hat is held across its interval
-        z = probe(t, e)[1]
         return rhs(e, t, -theta_hat - robust(z, rho(e, t)), xd)
 
     # the node rows, written into the trace once the iteration ends
@@ -195,7 +196,11 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     try:
         for i in range(N + 1):
             t = times[2 * i]
-            v, z = probe(t, e)
+            v = value(e, t)
+            if not v < bound:
+                _leave_domain(v, t)
+            # the learning signal z = dB/dV * grad V, B of the gain kind
+            z = d1(v, bound) * grad(e, t)
             _, theta_hat = update(i, z, gamma, clamp, row, put)
             u = -theta_hat - robust(z, rho(e, t))
             es.append(e)

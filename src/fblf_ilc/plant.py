@@ -92,9 +92,8 @@ class ErrorModelI:
             return unwrap(LgV(e, t))
 
         def rhs(e, t, u, xd):
-            # dw + theta collapses to w evaluated at the actual state
-            return unwrap(f(e, t)) + matvec(unwrap(g(e, t)),
-                                            u + unwrap(w(xd + e, t)))
+            # dw + theta collapses to w at the actual state; unwrapped once
+            return unwrap(f(e, t) + matvec(g(e, t), u + w(xd + e, t)))
         return self.certificate.V, grad, rhs
 
     def required_decrease(self, v, blf):

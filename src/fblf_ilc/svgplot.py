@@ -23,12 +23,10 @@ def _ticks(lo: float, hi: float, n: int = 5):
             step *= mult
             break
     start = math.ceil(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + 1e-12 * span:
-        ticks.append(v)
-        v += step
-    return ticks
+    # tick j is start + j*step, not a running sum, which stops growing
+    # once step is below half an ULP of start; span/step <= n bounds j
+    ticks = (start + j * step for j in range(n + 2))
+    return [v for v in ticks if v <= hi + 1e-12 * span]
 
 
 def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
@@ -48,7 +46,10 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
     tf = math.log10 if ylog else (lambda v: v)
     ylo, yhi = min(map(tf, all_y)), max(map(tf, all_y))
     if yhi - ylo < 1e-12:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
+        # a flat series; past 2**53, +-0.5 rounds away and a relative
+        # amount widens it
+        pad = 0.5 if ylo - 0.5 < yhi + 0.5 else 1e-6 * abs(ylo)
+        ylo, yhi = ylo - pad, yhi + pad
     xlo, xhi = (min(x), max(x)) if x else (0.0, 1.0)
     if xhi - xlo < 1e-12:
         xhi = xlo + 1.0

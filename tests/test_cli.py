@@ -2,6 +2,7 @@ import dataclasses
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fblf_ilc import cli, engine, plant, svgplot
@@ -400,6 +401,24 @@ class TestSimulate:
         path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 4
         assert "non-finite state" in capsys.readouterr().err
+
+    def test_numpy_scalar_overflow_exits_4(self, tmp_path, capsys,
+                                           monkeypatch):
+        # model I forms f + g (u + w) in its callables' own types, so on
+        # numpy scalars the sum's overflow raises inside simulate; float
+        # callables reach a non-finite state at the next stage instead
+        def overflowing(T=None):
+            base = plant.scalar_model_i()
+            huge = lambda x, t: np.float64(1.6e308)
+            return dataclasses.replace(
+                base, f=huge, g=lambda e, t: np.float64(1.0),
+                uncertainty=dataclasses.replace(base.uncertainty, w=huge))
+
+        monkeypatch.setitem(plant.BUILTIN_MODELS, "scalar-I", overflowing)
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert ("numerical failure: FloatingPointError: overflow"
+                in capsys.readouterr().err)
 
     # (model, fields, exit code) at the limits of each field: no input
     # ends in a traceback

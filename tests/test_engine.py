@@ -68,6 +68,17 @@ RETURNS = {"numpy-scalar": np.float64,
            "one-element-array": lambda y: np.array([y])}
 CONTRACT = ([(f, "numpy-scalar") for f in ("V", "LgV", "f", "g", "w", "rho")]
             + [(f, "one-element-array") for f in ("LgV", "f", "g", "w")])
+# (model, theorem, return form of each callable that returns no float):
+# each form alone, then all of model I's callables at once in both
+# schemes, mixing the forms in model I's sum f + g (u + w), and model II's
+NP, ARR = "numpy-scalar", "one-element-array"
+RETURN_CASES = [pytest.param("I", 1, {f: form}, id=f"{f}-{form}")
+                for f, form in CONTRACT] + [
+    pytest.param("I", 1, dict(V=NP, LgV=ARR, f=NP, g=ARR, w=NP, rho=NP),
+                 id="I-all-thm1-disc"),
+    pytest.param("I", 2, dict(V=NP, LgV=NP, f=ARR, g=NP, w=ARR, rho=NP),
+                 id="I-all-thm2-cont"),
+    pytest.param("II", 1, dict(w=ARR, rho=NP), id="II-w-rho")]
 
 
 class TestRunIteration:
@@ -127,9 +138,10 @@ class TestRunIteration:
                        model.uncertainty.rho(x, t))
             np.testing.assert_array_equal(tr.u[i], -tr.theta_hat[i] - s)
 
-    def test_node_evaluation_is_first_stage(self):
-        # the node's V, LgV and rho serve RK4's k1: per interval, four
-        # stage evaluations and no repeat, plus one at the final node
+    def test_node_evaluation_is_first_stage(self, monkeypatch):
+        # the node's V, LgV, rho and robust term serve RK4's k1: per
+        # interval, four stage evaluations and no repeat, plus one at the
+        # final node, and four of f, g and w (README's counts)
         counts = {}
 
         def counted(name, fn):
@@ -140,20 +152,23 @@ class TestRunIteration:
                 return fn(*args)
             return wrapper
 
+        monkeypatch.setattr(engine, "robust_term", lambda *args: counted(
+            "robust", robust_term(*args)))
         N = 50
         one = replace_callables(scalar_model_i(), counted)
         memory = ParamMemory(TimeGrid(T=one.T, N=N), m=1, bound=1.0)
         assert not run_iteration(one, disc_cfg(), memory,
                                  scheme(one, 1)).breach
         assert counts == {"f": 4 * N, "g": 4 * N, "w": 4 * N,
-                          "V": 4 * N + 1, "LgV": 4 * N + 1, "rho": 4 * N + 1}
+                          "V": 4 * N + 1, "LgV": 4 * N + 1, "rho": 4 * N + 1,
+                          "robust": 4 * N + 1}
 
         counts.clear()
         two = replace_callables(scalar_model_ii(), counted)
         memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1, bound=1.0)
         assert not run_iteration(two, disc_cfg(bound=1.0), memory,
                                  scheme(two, 1)).breach
-        assert counts == {"w": 4 * N, "rho": 4 * N + 1}
+        assert counts == {"w": 4 * N, "rho": 4 * N + 1, "robust": 4 * N + 1}
 
     @pytest.mark.parametrize("name", ["I", "II"])
     def test_float_native_callables_receive_floats(self, name):
@@ -174,18 +189,21 @@ class TestRunIteration:
                   else ("w", "rho"))
         assert seen == {(field, float) for field in fields}
 
-    @pytest.mark.parametrize("field, form", CONTRACT)
-    def test_callable_return_forms(self, field, form):
-        # each return form the contract allows gives the built-in's run,
-        # whose callables return floats, bit for bit
-        def returning(name, fn):
-            if name != field:
+    @pytest.mark.parametrize("name, theorem, forms", RETURN_CASES)
+    def test_callable_return_forms(self, name, theorem, forms):
+        # each return form the contract allows, alone or mixed, gives the
+        # built-in's run, whose callables return floats, bit for bit
+        def returning(field, fn):
+            if field not in forms:
                 return fn
-            return lambda x, t: RETURNS[form](fn(x, t))
+            form = RETURNS[forms[field]]
+            return lambda x, t: form(fn(x, t))
 
-        model = replace_callables(scalar_model_i(), returning)
-        want = run(scalar_model_i(), disc_cfg(), K=3, N=50)
-        got = run(model, disc_cfg(), K=3, N=50)
+        bound = REF_BOUND[name]
+        cfg = disc_cfg(bound) if theorem == 1 else cont_cfg(bound)
+        model = replace_callables(FACTORIES[name](), returning)
+        want = run(FACTORIES[name](), cfg, K=3, N=50, theorem=theorem)
+        got = run(model, cfg, K=3, N=50, theorem=theorem)
         for a, b in zip(want.traces, got.traces):
             for f in ("e", "u", "V", "theta_hat", "L"):
                 assert same_bits(getattr(a, f), getattr(b, f)), f
@@ -214,6 +232,14 @@ class TestRunIteration:
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=1.0, N=100), m=1, bound=1.0)
         with pytest.raises(ValueError):
+            run_iteration(model, disc_cfg(), memory, scheme(model, 1))
+
+    def test_tiny_horizon_mismatch_rejected(self):
+        # the horizons are compared exactly: at T = 1e-100 an absolute
+        # tolerance would pass a grid on half the model's horizon
+        model = scalar_model_i(T=1e-100)
+        memory = ParamMemory(TimeGrid(T=5e-101, N=10), m=1, bound=1.0)
+        with pytest.raises(ValueError, match="horizon"):
             run_iteration(model, disc_cfg(), memory, scheme(model, 1))
 
     def test_saturation_bound_mismatch_rejected(self):

@@ -49,3 +49,34 @@ def test_log_axis_with_no_positive_point(tmp_path, ys):
     root = ET.parse(path).getroot()
     assert list(root.iter(SVG + "polyline")) == []
     assert len(y_labels(path)) >= 2
+
+
+def test_zero_tick_reads_zero(tmp_path):
+    # tick j is start + j*step: a running sum from -0.6 by 0.2 drifts to
+    # -5.55112e-17 at the tick on zero
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [0, 1], "y", [-0.7, 0.3])
+    assert y_labels(path) == ["-0.6", "-0.4", "-0.2", "0", "0.2"]
+
+
+def test_step_below_half_an_ulp_returns(tmp_path):
+    # near 1e15 an ULP is 0.125, so a running sum of the 0.05 tick step
+    # never grows past the first tick; the tick count is bounded instead
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [0, 1], "y", [1e15, 1e15 + 0.125])
+    labels = y_labels(path)
+    assert 2 <= len(labels) <= 7
+    assert all(float(label) == 1e15 for label in labels)
+
+
+@pytest.mark.parametrize("y", [1e16, -3e17, 1e300])
+def test_flat_series_past_2_53_gets_a_range(tmp_path, y):
+    # y +- 0.5 rounds back to y, so the flat series is widened by an
+    # amount relative to it
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [0, 1], "y", [y, y])
+    labels = [float(label) for label in y_labels(path)]
+    assert len(labels) >= 2
+    # within the widening, to a label's six significant digits
+    assert all(abs(v - y) <= 1e-5 * abs(y) for v in labels)
+    assert len(list(ET.parse(path).getroot().iter(SVG + "polyline"))) == 1
