@@ -48,7 +48,7 @@ def _raising(fn, *args):
 _FIELDS = {
     "model": (str, None),
     "theorem": (int, 1),
-    "mode": (str, "disc"),
+    "mode": (Mode, None),  # when absent, cont if the theorem is smoothed
     "eps": (float, None),
     "gamma": (float, 2.0),
     "theta_bar": (float, 1.0),
@@ -56,8 +56,6 @@ _FIELDS = {
     "N": (int, 2000),
     "T": (float, None),
     "out": (str, None),
-    "svg": (bool, False),
-    "allow_disc_thm2": (bool, False),
 }
 
 _POSITIVE = ("eps", "gamma", "theta_bar", "K", "N", "T")
@@ -67,7 +65,7 @@ _POSITIVE = ("eps", "gamma", "theta_bar", "K", "N", "T")
 class RunConfig:
     model: str
     theorem: int
-    mode: str
+    mode: Mode
     eps: float | None
     bound: float  # the value of the model type's bound_key
     gamma: float
@@ -76,16 +74,6 @@ class RunConfig:
     N: int
     T: float | None
     out: str | None
-    svg: bool
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def parse_config(path) -> RunConfig:
@@ -113,7 +101,7 @@ def parse_config(path) -> RunConfig:
         if typ is None:
             raise ConfigError(f"{path}:{lineno}: unknown field '{key}'")
         try:
-            values[key] = _parse_bool(raw) if typ is bool else typ(raw)
+            values[key] = typ(raw)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid value for field "
                               f"'{key}': {raw!r}")
@@ -135,15 +123,10 @@ def parse_config(path) -> RunConfig:
     if theorem not in theorems:
         raise ConfigError(f"field 'theorem' must be one of "
                           f"{sorted(theorems)}, got {theorem}")
-    mode = values["mode"]
-    if mode not in ("disc", "cont"):
-        raise ConfigError(f"field 'mode' must be 'disc' or 'cont', got {mode!r}")
-    if mode == "cont" and "eps" not in values:
+    mode = values.get("mode",
+                      Mode.CONT if theorems[theorem].smoothed else Mode.DISC)
+    if mode is Mode.CONT and "eps" not in values:
         raise ConfigError("field 'eps' is required in continuous mode")
-    if (theorems[theorem].smoothed and mode != "cont"
-            and not values["allow_disc_thm2"]):
-        raise ConfigError(f"field 'mode' must be 'cont' for theorem {theorem} "
-                          "(set allow_disc_thm2 = true to override)")
 
     for key in bound_keys:
         if key != bound_key and key in values:
@@ -156,7 +139,7 @@ def parse_config(path) -> RunConfig:
         eps=values.get("eps"), bound=values[bound_key],
         gamma=values["gamma"], theta_bar=values["theta_bar"],
         K=values["K"], N=values["N"], T=values.get("T"),
-        out=values.get("out"), svg=values["svg"],
+        out=values.get("out"),
     )
 
 
@@ -172,7 +155,7 @@ def _file_in_the_way(out_dir: Path) -> Path | None:
 def _run_one(cfg: RunConfig) -> engine.RunResult:
     factory = BUILTIN_MODELS[cfg.model]
     model = factory(cfg.T) if cfg.T is not None else factory()
-    ctl_cfg = ControllerConfig(mode=Mode(cfg.mode), bound=cfg.bound,
+    ctl_cfg = ControllerConfig(mode=cfg.mode, bound=cfg.bound,
                                gamma=cfg.gamma, theta_bar=cfg.theta_bar,
                                eps=cfg.eps)
     return engine.run(model, ctl_cfg, K=cfg.K, N=cfg.N, theorem=cfg.theorem)
@@ -215,9 +198,9 @@ def cmd_simulate(args) -> int:
             print(f"error: cannot write to {out_dir}: {blocker} is not a "
                   f"directory", file=sys.stderr)
             return 1
-        runs.append((cfg_path, cfg, out_dir, args.svg or cfg.svg))
+        runs.append((cfg_path, cfg, out_dir))
     codes = []
-    for cfg_path, cfg, out_dir, svg in runs:
+    for cfg_path, cfg, out_dir in runs:
         try:
             result = _raising(_run_one, cfg)
         except _NUMERICAL as exc:
@@ -226,7 +209,7 @@ def cmd_simulate(args) -> int:
             codes.append(4)
             continue
         try:
-            _write_outputs(result, out_dir, svg)
+            _write_outputs(result, out_dir, args.svg)
         except OSError as exc:
             print(f"error: {cfg_path}: cannot write output: {exc}",
                   file=sys.stderr)

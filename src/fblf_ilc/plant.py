@@ -253,11 +253,11 @@ def check_uncertainty_bound(model) -> bool:
     return True
 
 
-def _scalar_uncertainty(l_w: float = 0.5) -> UncertaintySpec:
-    # Lipschitz bound rho = l_w |e| matches w(x, t) = l_w x exactly
+def _scalar_uncertainty() -> UncertaintySpec:
+    # Lipschitz bound rho = |e|/2 matches w(x, t) = x/2 exactly
     return UncertaintySpec(
-        w=lambda x, t: l_w * x,
-        rho=lambda e, t: l_w * math.sqrt(e * e),
+        w=lambda x, t: 0.5 * x,
+        rho=lambda e, t: 0.5 * math.sqrt(e * e),
     )
 
 

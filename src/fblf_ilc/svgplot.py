@@ -11,21 +11,21 @@ import math
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _COLOR = "#1f77b4"
+_NTICKS = 5  # an axis spans at most this many tick steps
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
+def _ticks(lo: float, hi: float):
+    # line_plot widens a flat axis first, so hi > lo
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / n))
+    step = 10 ** math.floor(math.log10(span / _NTICKS))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _NTICKS:
             step *= mult
             break
     start = math.ceil(lo / step) * step
     # tick j is start + j*step, not a running sum, which stops growing
-    # once step is below half an ULP of start; span/step <= n bounds j
-    ticks = (start + j * step for j in range(n + 2))
+    # once step is below half an ULP of start; span/step <= _NTICKS bounds j
+    ticks = (start + j * step for j in range(_NTICKS + 2))
     return [v for v in ticks if v <= hi + 1e-12 * span]
 
 
@@ -52,7 +52,8 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
         ylo, yhi = ylo - pad, yhi + pad
     xlo, xhi = (min(x), max(x)) if x else (0.0, 1.0)
     if xhi - xlo < 1e-12:
-        xhi = xlo + 1.0
+        # as for y, past 2**53 a relative amount widens a flat x axis
+        xhi = xlo + 1.0 if xlo + 1.0 > xlo else xlo + 1e-6 * abs(xlo)
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def X(v):

@@ -62,9 +62,11 @@ class TestConfigParsing:
         assert parse_config(path).model == "scalar-I"
 
     def test_unknown_field(self, tmp_path):
-        path = write_config(tmp_path, "model = scalar-I\nbogus = 1\n")
-        with pytest.raises(ConfigError, match="bogus"):
-            parse_config(path)
+        for line in ("bogus = 1", "allow_disc_thm2 = true", "svg = true"):
+            key = line.split(" ")[0]
+            path = write_config(tmp_path, f"model = scalar-I\n{line}\n")
+            with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+                parse_config(path)
 
     def test_nonpositive_bound_names_field(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",
@@ -79,16 +81,28 @@ class TestConfigParsing:
             parse_config(path)
 
     def test_theorem2_requires_cont(self, tmp_path):
-        path = write_config(tmp_path, GOOD_CONFIG.replace("theorem = 1",
-                                                          "theorem = 2"))
-        with pytest.raises(ConfigError, match="mode"):
-            parse_config(path)
+        # with no mode set, the smoothed theorem 2 runs cont, so needs eps
+        body = (GOOD_CONFIG.replace("theorem = 1", "theorem = 2")
+                .replace("    mode = disc\n", ""))
+        with pytest.raises(ConfigError, match="'eps' is required"):
+            parse_config(write_config(tmp_path, body))
+        cfg = parse_config(write_config(tmp_path, body + "eps = 0.01\n"))
+        assert (cfg.theorem, cfg.mode, cfg.eps) == (2, Mode.CONT, 0.01)
+        # and theorem 1 runs disc
+        body = GOOD_CONFIG.replace("    mode = disc\n", "")
+        assert parse_config(write_config(tmp_path, body)).mode is Mode.DISC
 
     def test_theorem2_disc_override(self, tmp_path):
         body = GOOD_CONFIG.replace("theorem = 1", "theorem = 2")
-        body += "allow_disc_thm2 = true\n"
         cfg = parse_config(write_config(tmp_path, body))
-        assert cfg.theorem == 2
+        assert (cfg.theorem, cfg.mode, cfg.eps) == (2, Mode.DISC, None)
+
+    def test_bad_mode(self, tmp_path):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("mode = disc",
+                                                          "mode = smooth"))
+        with pytest.raises(ConfigError, match="invalid value for field "
+                                              "'mode': 'smooth'"):
+            parse_config(path)
 
     def test_wrong_bound_key_for_model(self, tmp_path):
         body = GOOD_CONFIG.replace("model = scalar-I", "model = scalar-II")
@@ -179,13 +193,15 @@ class TestSmoothedTheoremNumbered3:
         return write_config(tmp_path, body)
 
     def test_mode_rule(self, tmp_path):
-        with pytest.raises(ConfigError, match="'mode' must be 'cont' for "
-                                              "theorem 3"):
-            parse_config(self.config(tmp_path, 3))
-        for extra, mode in (("allow_disc_thm2 = true\n", "disc"),
-                            ("mode = cont\neps = 0.01\n", "cont")):
-            cfg = parse_config(self.config(tmp_path, 3, extra))
-            assert (cfg.theorem, cfg.mode) == (3, mode)
+        # GOOD_CONFIG sets mode = disc, and a mode that is set wins
+        cfg = parse_config(self.config(tmp_path, 3))
+        assert (cfg.theorem, cfg.mode) == (3, Mode.DISC)
+        unset = GOOD_CONFIG.replace("    mode = disc\n", "")
+        for theorem, mode in ((1, Mode.DISC), (3, Mode.CONT)):
+            body = (unset.replace("model = scalar-I", "model = smoothed-3")
+                    .replace("theorem = 1", f"theorem = {theorem}"))
+            cfg = parse_config(write_config(tmp_path, body + "eps = 0.01\n"))
+            assert (cfg.theorem, cfg.mode) == (theorem, mode)
 
     def test_theorem_2_rejected(self, tmp_path, monkeypatch):
         with pytest.raises(ConfigError, match=r"field 'theorem' must be one "
@@ -440,9 +456,9 @@ class TestSimulate:
                                      code):
         out = tmp_path / "out"
         path = write_config(tmp_path, "\n".join(
-            [f"model = {model}", "K = 3", "N = 10", "svg = true",
-             f"out = {out}"] + fields) + "\n")
-        assert main(["simulate", str(path)]) == code
+            [f"model = {model}", "K = 3", "N = 10", f"out = {out}"]
+            + fields) + "\n")
+        assert main(["simulate", str(path), "--svg"]) == code
         err = capsys.readouterr().err
         if code == 4:
             assert err.startswith(f"error: {path}: numerical failure: ")

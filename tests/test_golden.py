@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from fblf_ilc.cli import main
 from fblf_ilc.controller import ControllerConfig, Mode
 from fblf_ilc.engine import run, write_summary_csv, write_trace_csv
 from fblf_ilc.plant import scalar_model_i, scalar_model_ii
@@ -115,3 +116,23 @@ def test_other_mode_and_breach_digests(tmp_path, model, theorem, mode, bound,
                                        N):
     assert (run_digests(tmp_path, model, theorem, Mode(mode), bound, N)
             == MORE_GOLDEN[model, theorem, mode, bound, N])
+
+
+# simulate on scalar-I at b_V = 0.5, one config per (mode, theorem) pair,
+# gives the digests of the same run above; with mode absent, the smoothed
+# Theorem 2 runs cont and Theorem 1 disc
+@pytest.mark.parametrize("fields, digests", [
+    pytest.param("theorem = 1", GOLDEN["I", 1, 0.5], id="1"),
+    pytest.param("theorem = 2\neps = 0.01", GOLDEN["I", 2, 0.5], id="2"),
+    pytest.param("theorem = 2\nmode = disc",
+                 MORE_GOLDEN["I", 2, "disc", 0.5, 200], id="2-disc"),
+    pytest.param("theorem = 1\nmode = cont\neps = 0.01",
+                 MORE_GOLDEN["I", 1, "cont", 0.5, 200], id="1-cont"),
+])
+def test_simulate_digests(tmp_path, fields, digests):
+    path = tmp_path / "run.cfg"
+    path.write_text("model = scalar-I\nb_V = 0.5\nK = 3\nN = 200\n"
+                    f"{fields}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    assert (digest(out / "trace.csv"), digest(out / "summary.csv")) == digests

@@ -69,14 +69,31 @@ def test_step_below_half_an_ulp_returns(tmp_path):
     assert all(float(label) == 1e15 for label in labels)
 
 
-@pytest.mark.parametrize("y", [1e16, -3e17, 1e300])
-def test_flat_series_past_2_53_gets_a_range(tmp_path, y):
-    # y +- 0.5 rounds back to y, so the flat series is widened by an
-    # amount relative to it
+def x_labels(path):
+    """The x-axis tick labels, which sit below the plot area."""
+    y = str(svgplot._H - svgplot._MB + 18)
+    return [el.text for el in ET.parse(path).getroot().iter(SVG + "text")
+            if el.get("y") == y]
+
+
+# (x, y, the flat axis): a flat y series, then a flat x axis
+@pytest.mark.parametrize("x, y, axis", [
+    pytest.param([0, 1], 1e16, "y", id="1e+16"),
+    pytest.param([0, 1], -3e17, "y", id="-3e+17"),
+    pytest.param([0, 1], 1e300, "y", id="1e+300"),
+    pytest.param([1e16, 1e16], 1.0, "x", id="x=1e+16"),
+    pytest.param([1e16], 1.0, "x", id="x=1e+16-one-point"),
+    pytest.param([-3e17, -3e17], 1.0, "x", id="x=-3e+17"),
+])
+def test_flat_series_past_2_53_gets_a_range(tmp_path, x, y, axis):
+    # y +- 0.5 and x + 1 round back to themselves, so a flat axis is
+    # widened by an amount relative to it
     path = tmp_path / "plot.svg"
-    svgplot.line_plot(path, [0, 1], "y", [y, y])
-    labels = [float(label) for label in y_labels(path)]
+    svgplot.line_plot(path, x, "y", [y] * len(x))
+    at = y if axis == "y" else x[0]
+    labels = [float(label) for label in
+              (y_labels if axis == "y" else x_labels)(path)]
     assert len(labels) >= 2
     # within the widening, to a label's six significant digits
-    assert all(abs(v - y) <= 1e-5 * abs(y) for v in labels)
+    assert all(abs(v - at) <= 1e-5 * abs(at) for v in labels)
     assert len(list(ET.parse(path).getroot().iter(SVG + "polyline"))) == 1
