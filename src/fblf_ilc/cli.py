@@ -85,6 +85,7 @@ def parse_config(path) -> RunConfig:
     bound_keys = [m.bound_key for m in models.values()]
     values = {k: default for k, (_, default) in _FIELDS.items()
               if default is not None}
+    lines = {}  # key -> the line that set it
     try:
         # utf-8-sig: a byte-order mark is not part of the first key
         text = path.read_text(encoding="utf-8-sig")
@@ -100,6 +101,10 @@ def parse_config(path) -> RunConfig:
         typ = float if key in bound_keys else _FIELDS.get(key, (None,))[0]
         if typ is None:
             raise ConfigError(f"{path}:{lineno}: unknown field '{key}'")
+        if key in lines:
+            raise ConfigError(f"{path}: field '{key}' is set twice, on lines "
+                              f"{lines[key]} and {lineno}")
+        lines[key] = lineno
         try:
             values[key] = typ(raw)
         except ValueError:

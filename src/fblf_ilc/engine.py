@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import plant
-from .barrier import FORMS
+from .barrier import _BLOCK, FORMS
 from .controller import ControllerConfig, robust_term
 from .learner import ParamMemory, TimeGrid, sat
 
@@ -227,29 +227,41 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     return tr
 
 
-def monitor_L(trace: IterationTrace, model, config: ControllerConfig,
+def _blocks(traces):
+    """Runs of at most _BLOCK node rows of traces, with valid-row masks."""
+    nodes = np.arange(len(traces[0].t))
+    step = max(1, _BLOCK // len(nodes))
+    for i in range(0, len(traces), step):
+        block = traces[i:i + step]
+        yield block, nodes < np.array([tr.valid.stop for tr in block])[:, None]
+
+
+def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
               scheme: plant.Scheme,
-              theta_table: np.ndarray | None = None) -> np.ndarray:
-    """Per-node Lyapunov-Krasovskii monitor.
+              theta_table: np.ndarray | None = None) -> list[np.ndarray]:
+    """Per-node Lyapunov-Krasovskii monitor of traces on one grid.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
     with BLF of scheme's monitor kind, theta the true learnable
     uncertainty (simulation-only), the integral taken by the trapezoid
-    rule on the grid and gamma the learning gain of config.  NaN past a
-    breach.  theta_table, theta at every node, is computed when not given.
+    rule on the grid and gamma the learning gain of config.  Fills each
+    trace's L, NaN from its breach node on, and returns them; theta_table,
+    theta at every node, is computed when not given.
     """
     blf = _blf(model, config, scheme)
-    sel = trace.valid
-    if not sel.stop:
-        return trace.L
+    t = traces[0].t
     if theta_table is None:
-        theta_table = plant.theta_path(model, trace.t.tolist())
-    diff = theta_table[sel] - trace.theta_hat[sel]
-    sq = np.sum(diff * diff, axis=1)
-    dt = trace.t[1] - trace.t[0] if len(trace.t) > 1 else 0.0
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (sq[1:] + sq[:-1]))))
-    trace.L[sel] = blf(trace.V[sel]) + cum / (2.0 * config.gamma)
-    return trace.L
+        theta_table = plant.theta_path(model, t.tolist())
+    dt = t[1] - t[0]
+    for block, valid in _blocks(traces):
+        diff = theta_table - np.stack([tr.theta_hat for tr in block])
+        sq = np.add.reduce(diff * diff, axis=-1)
+        cum = np.zeros_like(sq)
+        np.cumsum(0.5 * dt * (sq[:, 1:] + sq[:, :-1]), axis=1, out=cum[:, 1:])
+        L = blf(np.stack([tr.V for tr in block])) + cum / (2.0 * config.gamma)
+        for tr, row, keep in zip(block, L, valid):
+            np.copyto(tr.L, row, where=keep)
+    return [tr.L for tr in traces]
 
 
 def run(model, config: ControllerConfig, K: int, N: int = 2000,
@@ -264,22 +276,24 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
                        grid=grid, memory=memory)
     xd_table = plant._desired(model, grid.times)
     theta_table = plant.theta_path(model, grid.times[::2], xd_table[::2])
-    prev_LT = None
-    for k in range(K):
-        tr = run_iteration(model, config, memory, scheme, k=k,
-                           xd_table=xd_table)
-        monitor_L(tr, model, config, scheme, theta_table=theta_table)
-        sel = tr.valid
-        sup_e = float(np.max(np.linalg.norm(tr.e[sel], axis=1))) if sel.stop else float("nan")
-        sup_V = float(np.max(tr.V[sel])) if sel.stop else float("nan")
-        L_T = float(tr.L[-1]) if not tr.breach else float("nan")
-        delta = L_T - prev_LT if (prev_LT is not None and np.isfinite(L_T)) else float("nan")
-        result.traces.append(tr)
-        result.summaries.append(IterationSummary(
-            k=k, sup_e=sup_e, sup_V=sup_V, L_T=L_T, delta_L=delta,
-            violations=int(tr.breach)))
-        if np.isfinite(L_T):
-            prev_LT = L_T
+    result.traces = [run_iteration(model, config, memory, scheme, k=k,
+                                   xd_table=xd_table) for k in range(K)]
+    monitor_L(result.traces, model, config, scheme, theta_table=theta_table)
+    prev_LT = float("nan")
+    for block, valid in _blocks(result.traces):
+        # max |e| is sqrt(max |e|^2): sqrt is monotone and correctly rounded
+        sq = np.add.reduce(np.square(np.stack([tr.e for tr in block])), -1)
+        top = np.max([sq, np.stack([tr.V for tr in block])], axis=2,
+                     where=valid, initial=-np.inf)
+        # NaN propagates as in np.max, and is the value of no valid row
+        sup_e, sup_V = np.where(valid[:, 0], top, np.nan).tolist()
+        for tr, se, sv in zip(block, sup_e, sup_V):
+            L_T = float(tr.L[-1])  # NaN after a breach
+            delta = L_T - prev_LT if math.isfinite(L_T) else float("nan")
+            result.summaries.append(IterationSummary(
+                k=tr.k, sup_e=math.sqrt(se), sup_V=sv, L_T=L_T,
+                delta_L=delta, violations=int(tr.breach)))
+            prev_LT = L_T if math.isfinite(L_T) else prev_LT
     return result
 
 

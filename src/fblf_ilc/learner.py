@@ -27,10 +27,12 @@ def sat(v, bound: float):
 @dataclass(frozen=True)
 class TimeGrid:
     """N intervals of [0, T], with the one time table the simulator reads:
-    node i is times[2i], its interval's midpoint times[2i + 1]."""
+    node i is times[2i], its interval's midpoint times[2i + 1].  nodes,
+    the node times as a read-only array, is every trace's t."""
     T: float
     N: int
     times: list = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 2:
@@ -39,15 +41,13 @@ class TimeGrid:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         object.__setattr__(self, "times", np.linspace(
             0.0, self.T, 2 * self.N + 1).tolist())
+        # linspace(0, T, 2N + 1)[::2] is linspace(0, T, N + 1) bit for bit
+        object.__setattr__(self, "nodes", np.array(self.times[::2]))
+        self.nodes.flags.writeable = False
 
     @property
     def dt(self) -> float:
         return self.T / self.N
-
-    @property
-    def nodes(self) -> np.ndarray:
-        # linspace(0, T, 2N + 1)[::2] is linspace(0, T, N + 1) bit for bit
-        return np.array(self.times[::2])
 
 
 class ParamMemory:

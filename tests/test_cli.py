@@ -30,6 +30,15 @@ GOOD_CONFIG = """\
 """
 
 
+def good_config_with(field, raw):
+    """GOOD_CONFIG with field set to raw: in place of its line if it has
+    one, else on a line of its own."""
+    for line in GOOD_CONFIG.splitlines():
+        if line.split("=")[0].strip() == field:
+            return GOOD_CONFIG.replace(line, f"    {field} = {raw}")
+    return GOOD_CONFIG + f"{field} = {raw}\n"
+
+
 class TestConfigParsing:
     def test_good_config(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
@@ -67,6 +76,22 @@ class TestConfigParsing:
             path = write_config(tmp_path, f"model = scalar-I\n{line}\n")
             with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
                 parse_config(path)
+
+    @pytest.mark.parametrize("key, again", [("K", "K = 3"),
+                                            ("b_V", "b_V=0.25"),
+                                            ("model", " model = scalar-II")])
+    def test_key_set_twice_exits_1(self, tmp_path, capsys, key, again):
+        # GOOD_CONFIG sets model, b_V and K on lines 2, 5 and 8
+        first = {"model": 2, "b_V": 5, "K": 8}[key]
+        path = write_config(tmp_path, f"{GOOD_CONFIG}\n# more\n{again}\n")
+        with pytest.raises(ConfigError, match=rf"field '{key}' is set twice, "
+                                              rf"on lines {first} and 12$"):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_nonpositive_bound_names_field(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",
@@ -187,9 +212,10 @@ class TestSmoothedTheoremNumbered3:
         monkeypatch.setitem(plant.BUILTIN_MODELS, "smoothed-3",
                             built_as(SmoothedThree))
 
-    def config(self, tmp_path, theorem, extra=""):
+    def config(self, tmp_path, theorem, extra="", mode="disc"):
         body = (GOOD_CONFIG.replace("model = scalar-I", "model = smoothed-3")
-                .replace("theorem = 1", f"theorem = {theorem}") + extra)
+                .replace("theorem = 1", f"theorem = {theorem}")
+                .replace("mode = disc", f"mode = {mode}") + extra)
         return write_config(tmp_path, body)
 
     def test_mode_rule(self, tmp_path):
@@ -206,7 +232,7 @@ class TestSmoothedTheoremNumbered3:
     def test_theorem_2_rejected(self, tmp_path, monkeypatch):
         with pytest.raises(ConfigError, match=r"field 'theorem' must be one "
                                               r"of \[1, 3\], got 2"):
-            parse_config(self.config(tmp_path, 2, "mode = cont\neps = 0.01\n"))
+            parse_config(self.config(tmp_path, 2, "eps = 0.01\n", "cont"))
         # engine.run's one lookup rejects it before building a memory
         memories = []
 
@@ -343,7 +369,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field", ["b_V", "gamma", "T"])
     def test_nonfinite_value_exits_1(self, tmp_path, capsys, field):
-        path = write_config(tmp_path, GOOD_CONFIG + f"{field} = inf\n")
+        path = write_config(tmp_path, good_config_with(field, "inf"))
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 1
         assert f"'{field}' must be finite" in capsys.readouterr().err
@@ -360,7 +386,7 @@ class TestSimulate:
     def test_overflow_exits_4(self, tmp_path, capsys, field):
         # T = 1e300 overflows inside numpy; pytest turns a RuntimeWarning
         # into an error, so this also checks that none escapes
-        path = write_config(tmp_path, GOOD_CONFIG + f"{field} = 1e300\n")
+        path = write_config(tmp_path, good_config_with(field, "1e300"))
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 4
         assert "numerical failure" in capsys.readouterr().err

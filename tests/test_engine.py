@@ -296,7 +296,7 @@ class TestMonitor:
         memory = ParamMemory(TimeGrid(T=model.T, N=2000), m=1, bound=1.0)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         # overwrite with the built-in model's theta: int 0.25 sin^2 = 0.25*pi
-        L = monitor_L(tr, model, disc_cfg(), scheme(model, 1))
+        [L] = monitor_L([tr], model, disc_cfg(), scheme(model, 1))
         assert L[-1] == pytest.approx(0.25 * math.pi / (2 * gamma), rel=1e-6)
 
     def test_perfect_estimate_gives_zero(self):
@@ -305,14 +305,14 @@ class TestMonitor:
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         for i, t in enumerate(tr.t):
             tr.theta_hat[i] = 0.5 * math.sin(t)
-        L = monitor_L(tr, model, disc_cfg(), scheme(model, 1))
+        [L] = monitor_L([tr], model, disc_cfg(), scheme(model, 1))
         np.testing.assert_allclose(L, 0.0, atol=1e-12)
 
     def test_nondecreasing_when_v_zero(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
-        L = monitor_L(tr, model, disc_cfg(), scheme(model, 1))
+        [L] = monitor_L([tr], model, disc_cfg(), scheme(model, 1))
         assert np.all(np.diff(L) >= -1e-15)
 
 
@@ -340,6 +340,59 @@ class TestRun:
         assert calls == [1]
         assert result.scheme == ErrorModelI.theorems[1]
 
+    def test_monitor_called_once_per_run(self, monkeypatch):
+        # run monitors all K traces in one call, after the last iteration
+        calls = []
+
+        def counted(traces, *args, **kwargs):
+            calls.append([tr.k for tr in traces])
+            return monitor_L(traces, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "monitor_L", counted)
+        run(scalar_model_i(), disc_cfg(), K=3, N=50)
+        assert calls == [[0, 1, 2]]
+
+    def test_breach_rows_masked(self):
+        # each iteration after the first breaches inside an integrator
+        # stage of interval breach_node, whose node row holds a finite V
+        model = scalar_model_i()
+        result = run(model, disc_cfg(bound=0.05), K=4, N=10)
+        assert [tr.breach_node for tr in result.traces] == [None, 5, 4, 6]
+        assert all(tr.t is result.grid.nodes for tr in result.traces)
+        for tr in result.traces[1:]:
+            assert np.isfinite(tr.V[tr.breach_node])
+            assert np.isnan(tr.L[tr.breach_node])
+            assert np.isfinite(tr.L[:tr.breach_node]).all()
+        assert_monitored_and_summarised(result)
+
+    @pytest.mark.parametrize("block", [1, 25, 33])
+    def test_blocks_do_not_move_a_bit(self, monkeypatch, block):
+        # 11 node rows: blocks of one trace, of two (2, 2, 1) and of
+        # three (3, 2)
+        cfg = disc_cfg(bound=0.05)
+        want = run(scalar_model_i(), cfg, K=5, N=10)
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        got = run(scalar_model_i(), cfg, K=5, N=10)
+        assert same_bits([tr.L for tr in got.traces],
+                         [tr.L for tr in want.traces])
+        assert (repr([dataclasses.astuple(s) for s in got.summaries])
+                == repr([dataclasses.astuple(s) for s in want.summaries]))
+        assert_monitored_and_summarised(got)
+
+    def test_breach_at_first_node_gives_nan_summaries(self):
+        # V(0, t) = 1 is past the bound 0.5 before any row is written
+        base = scalar_model_i()
+        model = dataclasses.replace(base, certificate=dataclasses.replace(
+            base.certificate, V=lambda e, t: 1.0 + 0.5 * (e * e)))
+        for each in (model, lift(model)):
+            result = run(each, disc_cfg(), K=2, N=10)
+            for tr, s in zip(result.traces, result.summaries):
+                assert tr.breach_node == 0 and np.isnan(tr.L).all()
+                assert all(map(math.isnan, (s.sup_e, s.sup_V, s.L_T,
+                                            s.delta_L)))
+                assert s.violations == 1
+            assert_monitored_and_summarised(result)
+
     def test_estimates_bounded_everywhere(self):
         result = run(scalar_model_i(), disc_cfg(), K=5, N=300)
         for tr in result.traces:
@@ -362,6 +415,23 @@ class TestRun:
         before = model.T
         run(model, disc_cfg(), K=2, N=200)
         assert model.T == before
+
+
+def assert_monitored_and_summarised(result):
+    """Each trace's L is what monitor_L gives for that trace alone, and
+    sup_e and sup_V are max |e| and max V over its valid rows (NaN when
+    it has none), all bit for bit."""
+    model, config, scheme = result.model, result.config, result.scheme
+    for tr, s in zip(result.traces, result.summaries):
+        alone = dataclasses.replace(tr, L=np.full_like(tr.L, np.nan))
+        assert same_bits(monitor_L([alone], model, config, scheme), [tr.L])
+        sel = tr.valid
+        if sel.stop:
+            assert same_bits(s.sup_e,
+                             np.max(np.linalg.norm(tr.e[sel], axis=1)))
+            assert same_bits(s.sup_V, np.max(tr.V[sel]))
+        else:
+            assert math.isnan(s.sup_e) and math.isnan(s.sup_V)
 
 
 class TestRunProperties:
@@ -499,6 +569,7 @@ class TestArrayForm:
             equal_nan=True)
         assert np.array_equal(scalar.memory.theta_star,
                               lifted.memory.theta_star)
+        assert_monitored_and_summarised(lifted)
 
     @pytest.mark.parametrize("name, bound, N", [c for c in LIFT_CASES
                                                 if c[2] < 200])
@@ -579,6 +650,7 @@ class TestTwoInputs:
         assert (model.n, model.m) == (2, 2)
         result = run(model, cfg, K=5, N=400, theorem=theorem)
         assert not result.any_breach
+        assert_monitored_and_summarised(result)
         for tr in result.traces:
             for f in ("e", "u", "theta_hat"):
                 col = getattr(tr, f)

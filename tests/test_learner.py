@@ -44,6 +44,10 @@ class TestGrid:
         np.testing.assert_allclose(g.nodes, [0, 0.5, 1.0, 1.5, 2.0])
         assert g.dt == 0.5
         assert g.nodes[-1] == g.T
+        # built once, read-only: every trace's t is this array
+        assert g.nodes is g.nodes and not g.nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.nodes[0] = 1.0
 
     def test_time_table(self):
         # nodes at even entries, interval midpoints at odd ones; the table
