@@ -148,12 +148,16 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _file_in_the_way(out_dir: Path) -> Path | None:
-    """The nearest existing one of out_dir and its parents, if it is not
-    a directory (so out_dir cannot be created)."""
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            return None if path.is_dir() else path
+def _out_dir_blocked(out_dir: Path) -> str | None:
+    """Why out_dir cannot be created, if that shows before writing: the
+    nearest existing one of it and its parents is not a directory, or the
+    OS rejects the path."""
+    try:
+        for path in (out_dir, *out_dir.parents):
+            if path.exists():
+                return None if path.is_dir() else f"{path} is not a directory"
+    except OSError as exc:
+        return str(exc)
     return None
 
 
@@ -198,10 +202,10 @@ def cmd_simulate(args) -> int:
                   f"{out_dir}", file=sys.stderr)
             return 1
         claimed[key] = cfg_path
-        blocker = _file_in_the_way(out_dir)
-        if blocker is not None:
-            print(f"error: cannot write to {out_dir}: {blocker} is not a "
-                  f"directory", file=sys.stderr)
+        blocked = _out_dir_blocked(out_dir)
+        if blocked is not None:
+            print(f"error: cannot write to {out_dir}: {blocked}",
+                  file=sys.stderr)
             return 1
         runs.append((cfg_path, cfg, out_dir))
     codes = []
@@ -259,10 +263,10 @@ def _column(rows, name) -> list[float]:
 
 def cmd_check_lemmas(args) -> int:
     path = Path(args.csv)
-    if not path.is_file():
-        print(f"error: file not found: {path}", file=sys.stderr)
-        return 1
     try:
+        if not path.is_file():
+            print(f"error: file not found: {path}", file=sys.stderr)
+            return 1
         # utf-8-sig: a byte-order mark, as Excel writes, is not part of "r"
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
@@ -275,6 +279,9 @@ def cmd_check_lemmas(args) -> int:
         seq = analysis.SequenceTriple(
             _column(rows, "r"), _column(rows, "s"),
             _column(rows, "d") if "d" in columns else None)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return 1

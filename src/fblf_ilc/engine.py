@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -42,7 +42,7 @@ class IterationTrace:
     u: np.ndarray        # (N+1, m)
     V: np.ndarray        # (N+1,)  constrained quantity: V(e,t) or e'Pe
     theta_hat: np.ndarray  # (N+1, m)
-    L: np.ndarray        # (N+1,)  filled by monitor_L
+    L: np.ndarray | None = None  # (N+1,)  set by monitor_L
     breach_node: int | None = None
 
     @property
@@ -71,9 +71,9 @@ class RunResult:
     config: ControllerConfig
     scheme: plant.Scheme
     grid: TimeGrid
-    summaries: list[IterationSummary] = field(default_factory=list)
-    traces: list[IterationTrace] = field(default_factory=list)
-    memory: ParamMemory | None = None
+    summaries: list[IterationSummary]
+    traces: list[IterationTrace]
+    memory: ParamMemory
 
     @property
     def any_breach(self) -> bool:
@@ -176,7 +176,6 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
         u=np.full((N + 1, m), np.nan),
         V=np.full(N + 1, np.nan),
         theta_hat=np.full((N + 1, m), np.nan),
-        L=np.full(N + 1, np.nan),
     )
 
     rho = model.uncertainty.rho
@@ -227,41 +226,49 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     return tr
 
 
-def _blocks(traces):
-    """Runs of at most _BLOCK node rows of traces, with valid-row masks."""
-    nodes = np.arange(len(traces[0].t))
-    step = max(1, _BLOCK // len(nodes))
-    for i in range(0, len(traces), step):
-        block = traces[i:i + step]
-        yield block, nodes < np.array([tr.valid.stop for tr in block])[:, None]
-
-
 def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
               scheme: plant.Scheme,
-              theta_table: np.ndarray | None = None) -> list[np.ndarray]:
+              theta_table: np.ndarray | None = None) -> list[IterationSummary]:
     """Per-node Lyapunov-Krasovskii monitor of traces on one grid.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
     with BLF of scheme's monitor kind, theta the true learnable
     uncertainty (simulation-only), the integral taken by the trapezoid
-    rule on the grid and gamma the learning gain of config.  Fills each
-    trace's L, NaN from its breach node on, and returns them; theta_table,
-    theta at every node, is computed when not given.
+    rule on the grid and gamma the learning gain of config.  Sets each
+    trace's L, NaN from its breach node on, and returns their summaries;
+    theta_table, theta at every node, is computed when not given.
     """
     blf = _blf(model, config, scheme)
     t = traces[0].t
     if theta_table is None:
         theta_table = plant.theta_path(model, t.tolist())
     dt = t[1] - t[0]
-    for block, valid in _blocks(traces):
+    nodes = np.arange(len(t))
+    step = max(1, _BLOCK // len(t))  # at most _BLOCK node rows at a time
+    summaries, prev_LT = [], float("nan")
+    for i in range(0, len(traces), step):
+        block = traces[i:i + step]
+        valid = nodes < np.array([tr.valid.stop for tr in block])[:, None]
+        V = np.stack([tr.V for tr in block])
         diff = theta_table - np.stack([tr.theta_hat for tr in block])
         sq = np.add.reduce(diff * diff, axis=-1)
         cum = np.zeros_like(sq)
         np.cumsum(0.5 * dt * (sq[:, 1:] + sq[:, :-1]), axis=1, out=cum[:, 1:])
-        L = blf(np.stack([tr.V for tr in block])) + cum / (2.0 * config.gamma)
-        for tr, row, keep in zip(block, L, valid):
-            np.copyto(tr.L, row, where=keep)
-    return [tr.L for tr in traces]
+        L = np.where(valid, blf(V) + cum / (2.0 * config.gamma), np.nan)
+        # max |e| is sqrt(max |e|^2): sqrt is monotone and correctly rounded
+        e2 = np.add.reduce(np.square(np.stack([tr.e for tr in block])), -1)
+        top = np.max([e2, V], axis=2, where=valid, initial=-np.inf)
+        # NaN propagates as in np.max, and is the value of no valid row
+        sup_e, sup_V = np.where(valid[:, 0], top, np.nan).tolist()
+        for tr, row, se, sv in zip(block, L, sup_e, sup_V):
+            tr.L = row
+            L_T = float(row[-1])  # NaN after a breach
+            delta = L_T - prev_LT if math.isfinite(L_T) else float("nan")
+            summaries.append(IterationSummary(
+                k=tr.k, sup_e=math.sqrt(se), sup_V=sv, L_T=L_T,
+                delta_L=delta, violations=int(tr.breach)))
+            prev_LT = L_T if math.isfinite(L_T) else prev_LT
+    return summaries
 
 
 def run(model, config: ControllerConfig, K: int, N: int = 2000,
@@ -272,29 +279,14 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
     scheme = plant.scheme(model, theorem)
     grid = TimeGrid(T=model.T, N=N)
     memory = ParamMemory(grid, m=model.m, bound=config.theta_bar)
-    result = RunResult(model=model, config=config, scheme=scheme,
-                       grid=grid, memory=memory)
     xd_table = plant._desired(model, grid.times)
     theta_table = plant.theta_path(model, grid.times[::2], xd_table[::2])
-    result.traces = [run_iteration(model, config, memory, scheme, k=k,
-                                   xd_table=xd_table) for k in range(K)]
-    monitor_L(result.traces, model, config, scheme, theta_table=theta_table)
-    prev_LT = float("nan")
-    for block, valid in _blocks(result.traces):
-        # max |e| is sqrt(max |e|^2): sqrt is monotone and correctly rounded
-        sq = np.add.reduce(np.square(np.stack([tr.e for tr in block])), -1)
-        top = np.max([sq, np.stack([tr.V for tr in block])], axis=2,
-                     where=valid, initial=-np.inf)
-        # NaN propagates as in np.max, and is the value of no valid row
-        sup_e, sup_V = np.where(valid[:, 0], top, np.nan).tolist()
-        for tr, se, sv in zip(block, sup_e, sup_V):
-            L_T = float(tr.L[-1])  # NaN after a breach
-            delta = L_T - prev_LT if math.isfinite(L_T) else float("nan")
-            result.summaries.append(IterationSummary(
-                k=tr.k, sup_e=math.sqrt(se), sup_V=sv, L_T=L_T,
-                delta_L=delta, violations=int(tr.breach)))
-            prev_LT = L_T if math.isfinite(L_T) else prev_LT
-    return result
+    traces = [run_iteration(model, config, memory, scheme, k=k,
+                            xd_table=xd_table) for k in range(K)]
+    summaries = monitor_L(traces, model, config, scheme,
+                          theta_table=theta_table)
+    return RunResult(model=model, config=config, scheme=scheme, grid=grid,
+                     summaries=summaries, traces=traces, memory=memory)
 
 
 @dataclass(frozen=True)

@@ -424,6 +424,20 @@ class TestSimulate:
         assert "is not a directory" in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "keep"
 
+    def test_out_name_too_long_exits_1_before_running(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # one path component past the usual 255-byte limit
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated with an unusable output path")
+
+        monkeypatch.setattr(engine, "run", must_not_run)
+        path = write_config(tmp_path, GOOD_CONFIG)
+        out = tmp_path / ("o" * 300)
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_write_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise PermissionError("permission denied")
@@ -585,6 +599,19 @@ class TestCheckLemmas:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["check-lemmas", str(tmp_path / "absent.csv")]) == 1
+
+    def test_unreadable_file_exit_1(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text("r,s\n1.0,0.1\n")
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {csv_path}: ")
+        assert "Permission denied" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("first", ["nan", "inf"])
     def test_nonfinite_first_r_exit_1(self, tmp_path, capsys, first):

@@ -296,8 +296,8 @@ class TestMonitor:
         memory = ParamMemory(TimeGrid(T=model.T, N=2000), m=1, bound=1.0)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         # overwrite with the built-in model's theta: int 0.25 sin^2 = 0.25*pi
-        [L] = monitor_L([tr], model, disc_cfg(), scheme(model, 1))
-        assert L[-1] == pytest.approx(0.25 * math.pi / (2 * gamma), rel=1e-6)
+        monitor_L([tr], model, disc_cfg(), scheme(model, 1))
+        assert tr.L[-1] == pytest.approx(0.25 * math.pi / (2 * gamma), rel=1e-6)
 
     def test_perfect_estimate_gives_zero(self):
         model = scalar_model_i()
@@ -305,15 +305,15 @@ class TestMonitor:
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         for i, t in enumerate(tr.t):
             tr.theta_hat[i] = 0.5 * math.sin(t)
-        [L] = monitor_L([tr], model, disc_cfg(), scheme(model, 1))
-        np.testing.assert_allclose(L, 0.0, atol=1e-12)
+        monitor_L([tr], model, disc_cfg(), scheme(model, 1))
+        np.testing.assert_allclose(tr.L, 0.0, atol=1e-12)
 
     def test_nondecreasing_when_v_zero(self):
         model = scalar_model_i()
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
-        [L] = monitor_L([tr], model, disc_cfg(), scheme(model, 1))
-        assert np.all(np.diff(L) >= -1e-15)
+        monitor_L([tr], model, disc_cfg(), scheme(model, 1))
+        assert np.all(np.diff(tr.L) >= -1e-15)
 
 
 class TestRun:
@@ -323,6 +323,7 @@ class TestRun:
         memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
         tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1))
         np.testing.assert_allclose(result.traces[0].e, tr.e)
+        assert tr.L is None  # set by monitor_L, which run calls
         assert len(result.summaries) == 1
 
     def test_scheme_looked_up_once(self, monkeypatch):
@@ -418,13 +419,15 @@ class TestRun:
 
 
 def assert_monitored_and_summarised(result):
-    """Each trace's L is what monitor_L gives for that trace alone, and
-    sup_e and sup_V are max |e| and max V over its valid rows (NaN when
-    it has none), all bit for bit."""
+    """Each trace's L, sup_e and sup_V are what monitor_L gives for that
+    trace alone, and sup_e and sup_V are max |e| and max V over its
+    valid rows (NaN when it has none), all bit for bit."""
     model, config, scheme = result.model, result.config, result.scheme
     for tr, s in zip(result.traces, result.summaries):
-        alone = dataclasses.replace(tr, L=np.full_like(tr.L, np.nan))
-        assert same_bits(monitor_L([alone], model, config, scheme), [tr.L])
+        alone = dataclasses.replace(tr, L=None)
+        [own] = monitor_L([alone], model, config, scheme)
+        assert same_bits(alone.L, tr.L)
+        assert same_bits([own.sup_e, own.sup_V], [s.sup_e, s.sup_V])
         sel = tr.valid
         if sel.stop:
             assert same_bits(s.sup_e,
