@@ -106,35 +106,48 @@ class _Shape(NamedTuple):
     """The primitives through which one closed loop serves both shapes."""
     unwrap: Callable   # a model's vector or matrix -> the loop's form
     dot: Callable      # inner product, as a float
+    self_dot: Callable  # x . x, as a float (the robust term's ||x||^2)
     matvec: Callable   # matrix (in the loop's form) times vector
     clamp: Callable    # component-wise clamp to [-b, b]
-    row: Callable      # row i of a 2-D array, in the loop's form
+    rows: Callable     # a 2-D array's rows, in the loop's form, as a list
     put: Callable      # a[i] = x, row(s) i of a 2-D array from the loop's form
     zeros: Callable    # zero vector of a given length
 
 
 # n = m = 1: Python floats throughout.  numpy's one-term matmul and dot
 # add their product to 0.0, turning -0.0 into 0.0, and so do the float
-# dot and matvec; any other operation is the same on floats and arrays
-# (the float clamp keeps NaN and -0.0 as numpy's minimum/maximum do).
+# dot and matvec; x * x is never -0.0, so self_dot needs no 0.0 +.  Any
+# other operation is the same on floats and arrays (the float clamp
+# keeps NaN and -0.0 as numpy's minimum/maximum do).
 _FLOAT = _Shape(
     unwrap=_item,
     dot=lambda a, b: 0.0 + a * b,
+    self_dot=operator.mul,
     matvec=lambda M, x: 0.0 + M * x,
     clamp=lambda v, b: -b if v < -b else (b if v > b else v),
-    row=np.ndarray.item,  # m = 1: row i's flat index is i
+    rows=lambda a: a[:, 0].tolist(),
     put=_put_float,
     zeros=lambda n: 0.0,
 )
 _ARRAY = _Shape(
     unwrap=lambda a: a,
     dot=lambda a, b: float(a @ b),
+    self_dot=lambda a, b: float(a @ b),
     matvec=operator.matmul,
     clamp=sat,
-    row=operator.getitem,
+    rows=list,
     put=operator.setitem,
     zeros=np.zeros,
 )
+
+
+def _table(put, rows, shape) -> np.ndarray:
+    """An array of shape holding rows, written by put, then NaN rows."""
+    a = np.empty(shape)
+    if rows:  # numpy reads [] as shape (0,), not (0, n)
+        put(a, slice(0, len(rows)), rows)
+    a[len(rows):] = np.nan
+    return a
 
 
 def _blf(model, config: ControllerConfig, scheme: plant.Scheme) -> Callable:
@@ -162,34 +175,30 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     value, grad, rhs = model.loop_terms(shape)
     bound = plant.value_bound(model, config.bound)
     d1 = FORMS[scheme.gain][1]
-    clamp, row, put = shape.clamp, shape.row, shape.put
+    unwrap, clamp, put = shape.unwrap, shape.clamp, shape.put
     gamma = config.gamma
     n, m = model.n, model.m
-    robust = robust_term(config, shape.zeros(m), shape.dot)
+    robust = robust_term(config, shape.zeros(m), shape.self_dot)
     update = memory.update_node
     N, dt = grid.N, grid.dt
-
-    tr = IterationTrace(
-        k=k,
-        t=grid.nodes,
-        e=np.full((N + 1, n), np.nan),
-        u=np.full((N + 1, m), np.nan),
-        V=np.full(N + 1, np.nan),
-        theta_hat=np.full((N + 1, m), np.nan),
-    )
-
     rho = model.uncertainty.rho
 
+    # z and each stage derivative are read into the loop's form once
     def deriv(t, e, xd):
         v = value(e, t)
         if not v < bound:
             _leave_domain(v, t)
         z = d1(v, bound) * grad(e, t)
+        z = z if type(z) is float else unwrap(z)
         # node i's estimate theta_hat is held across its interval
-        return rhs(e, t, -theta_hat - robust(z, rho(e, t)), xd)
+        de = rhs(e, t, -theta_hat - robust(z, rho(e, t)), xd)
+        return de if type(de) is float else unwrap(de)
 
-    # the node rows, written into the trace once the iteration ends
+    # the node rows, written into the trace once the iteration ends, and
+    # theta_star's rows, written back however the iteration ends
     es, us, vs, ths = [], [], [], []
+    store = shape.rows(memory.theta_star)
+    breach_node = None
     e = shape.zeros(n)  # alignment: x_k(0) = x_d(0)
     half_dt = 0.5 * dt
     try:
@@ -200,7 +209,8 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
                 _leave_domain(v, t)
             # the learning signal z = dB/dV * grad V, B of the gain kind
             z = d1(v, bound) * grad(e, t)
-            _, theta_hat = update(i, z, gamma, clamp, row, put)
+            z = z if type(z) is float else unwrap(z)
+            _, theta_hat = update(i, z, gamma, clamp, store)
             u = -theta_hat - robust(z, rho(e, t))
             es.append(e)
             us.append(u)
@@ -211,19 +221,21 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
             th, xdh = times[2 * i + 1], xd_table[2 * i + 1]
             k1 = rhs(e, t, u, xd_table[2 * i])
+            k1 = k1 if type(k1) is float else unwrap(k1)
             k2 = deriv(th, e + half_dt * k1, xdh)
             k3 = deriv(th, e + half_dt * k2, xdh)
             k4 = deriv(times[2 * i + 2], e + dt * k3, xd_table[2 * i + 2])
             e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except _Breach:
-        tr.breach_node = i
-    if vs:  # the rows from a breach on stay NaN
-        done = slice(0, len(vs))
-        put(tr.e, done, es)
-        put(tr.u, done, us)
-        tr.V[done] = vs
-        put(tr.theta_hat, done, ths)
-    return tr
+        breach_node = i
+    finally:
+        put(memory.theta_star, slice(None), store)
+    # the rows from a breach on are NaN
+    return IterationTrace(
+        k=k, t=grid.nodes, e=_table(put, es, (N + 1, n)),
+        u=_table(put, us, (N + 1, m)),
+        V=_table(operator.setitem, vs, N + 1),
+        theta_hat=_table(put, ths, (N + 1, m)), breach_node=breach_node)
 
 
 def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,

@@ -10,7 +10,6 @@ applied on every read, so the per-iteration recursion is
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,17 +61,19 @@ class ParamMemory:
         self.theta_star = np.zeros((grid.N + 1, m))
 
     def update_node(self, i: int, z: np.ndarray | float, gamma: float,
-                    clamp=sat, row=operator.getitem, put=operator.setitem):
+                    clamp=sat, store=None):
         """Apply the learning recursion at node i; returns (theta_star, theta_hat).
 
-        clamp, row and put (read and write row i of theta_star) fix the
-        shape z and the results take: numpy rows by default, Python
-        floats when the engine runs an m = 1 model.
+        store holds the rows read and written, theta_star by default;
+        clamp fixes the shape z, the rows and the results take: numpy
+        rows by default, Python floats when the engine runs an m = 1
+        model on a list of theta_star's rows.
         """
         if not 0 <= i <= self.grid.N:
             raise IndexError(f"node index {i} out of range [0, {self.grid.N}]")
         if not gamma > 0:
             raise ValueError("gamma must be positive")
-        new = clamp(row(self.theta_star, i), self.bound) + gamma * z
-        put(self.theta_star, i, new)
+        store = self.theta_star if store is None else store
+        new = clamp(store[i], self.bound) + gamma * z
+        store[i] = new
         return new, clamp(new, self.bound)

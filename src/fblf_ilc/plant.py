@@ -84,17 +84,15 @@ class ErrorModelI:
         2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
 
     def loop_terms(self, shape):
-        """The closed loop's (value, grad, rhs), in shape's primitives."""
-        unwrap, matvec = shape.unwrap, shape.matvec
-        LgV, f, g, w = self.certificate.LgV, self.f, self.g, self.uncertainty.w
-
-        def grad(e, t):
-            return unwrap(LgV(e, t))
+        """The closed loop's (value, grad, rhs), in shape's primitives; the
+        outputs keep the callables' own types, which the loop converts."""
+        matvec = shape.matvec
+        f, g, w = self.f, self.g, self.uncertainty.w
 
         def rhs(e, t, u, xd):
-            # dw + theta collapses to w at the actual state; unwrapped once
-            return unwrap(f(e, t) + matvec(g(e, t), u + w(xd + e, t)))
-        return self.certificate.V, grad, rhs
+            # dw + theta collapses to w at the actual state
+            return f(e, t) + matvec(g(e, t), u + w(xd + e, t))
+        return self.certificate.V, self.certificate.LgV, rhs
 
     def required_decrease(self, v, blf):
         return v  # V_{k-1}(T)
@@ -151,7 +149,7 @@ class ErrorModelII:
             return matvec(BtP, e)
 
         def rhs(e, t, u, xd):
-            return matvec(A, e) + matvec(B, u + unwrap(w(xd + e, t)))
+            return matvec(A, e) + matvec(B, u + w(xd + e, t))
         return value, grad, rhs
 
     def required_decrease(self, v, blf):

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -287,6 +289,29 @@ class TestRunIteration:
         rate = (np.abs(np.gradient(tr.u[:, 0], dt)).max())
         assert jumps.max() <= 2.0 * rate * dt + 1e-9
 
+    # f = -e until t = 3, then inf (a blow-up at t = 3.0631) or 1e3 (a
+    # breach inside an integrator stage of interval 19)
+    @pytest.mark.parametrize("after", [math.inf, 1e3], ids=["blowup", "breach"])
+    def test_memory_written_back_on_every_exit(self, after):
+        # theta_star after the iteration as per-node writes leave it:
+        # nodes 0-19 learned, node 0 with z = 0, nodes 20-40 untouched
+        base = dataclasses.replace(
+            scalar_model_i(), f=lambda e, t: -e if t < 3 else after)
+        for model in (base, lift(base)):
+            memory = ParamMemory(TimeGrid(T=model.T, N=40), m=1, bound=1.0)
+            if after == math.inf:
+                with pytest.raises(engine.NonFiniteStateError,
+                                   match="t=3.063052837250048"):
+                    run_iteration(model, disc_cfg(), memory, scheme(model, 1))
+            else:
+                tr = run_iteration(model, disc_cfg(), memory,
+                                   scheme(model, 1))
+                assert tr.breach_node == 19 and np.isfinite(tr.V[19])
+            star = memory.theta_star
+            assert np.count_nonzero(star) == 19 and not star[20:].any()
+            digest = hashlib.sha256(star.tobytes()).hexdigest()
+            assert digest.startswith("ea5802ab7102201a")
+
 
 class TestMonitor:
     def test_zero_error_zero_estimate_closed_form(self):
@@ -379,6 +404,28 @@ class TestRun:
         assert (repr([dataclasses.astuple(s) for s in got.summaries])
                 == repr([dataclasses.astuple(s) for s in want.summaries]))
         assert_monitored_and_summarised(got)
+
+    def test_update_node_once_per_finite_V_row(self, monkeypatch):
+        # the learner runs once at each node whose V was read inside the
+        # bound, so once per trace row with a finite V, breaches included
+        calls = []
+        update = ParamMemory.update_node
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return update(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParamMemory, "update_node", counted)
+        breaches = 0
+        for model in (scalar_model_i(), lift(scalar_model_i()),
+                      scalar_model_ii()):
+            for theorem, cfg in ((1, disc_cfg(bound=0.05)), (2, cont_cfg())):
+                calls.clear()
+                result = run(model, cfg, K=4, N=10, theorem=theorem)
+                assert calls == [i for tr in result.traces
+                                 for i in np.flatnonzero(np.isfinite(tr.V))]
+                breaches += sum(tr.breach for tr in result.traces)
+        assert breaches > 0
 
     def test_breach_at_first_node_gives_nan_summaries(self):
         # V(0, t) = 1 is past the bound 0.5 before any row is written
@@ -685,6 +732,23 @@ class TestFloatShape:
             assert same_bits(_FLOAT.clamp(v, 1.0),
                              _ARRAY.clamp(np.array([v]), 1.0).item()), v
 
+    @pytest.mark.parametrize("mode", ["disc", "cont"])
+    def test_self_dot_in_the_robust_term(self, mode):
+        # the C-level x * x gives the robust term the bits of 0.0 + x * x
+        # the float dot gives: x * x is never -0.0
+        assert _FLOAT.self_dot is operator.mul
+        cfg = disc_cfg() if mode == "disc" else cont_cfg()
+        by_mul = robust_term(cfg, 0.0, _FLOAT.self_dot)
+        by_dot = robust_term(cfg, 0.0, lambda a, b: 0.0 + a * b)
+        rng = np.random.default_rng(22)
+        zs = [s * x for x in (0.0, 5e-324, 1e-160, 1.5e154, 1e200, math.inf)
+              for s in (1.0, -1.0)] + [math.nan]
+        zs += [math.ldexp(float(rng.uniform(-1.0, 1.0)),
+                          int(rng.integers(-1074, 1025))) for _ in range(300)]
+        for z in zs:
+            for rho in (0.0, 0.5, 3.0, float(rng.uniform(0.0, 10.0))):
+                assert same_bits(by_mul(z, rho), by_dot(z, rho)), (z, rho)
+
     def test_unwrap(self):
         # the model callables may return a float, a numpy scalar or a
         # one-element array; the loop reads each into a float
@@ -695,7 +759,8 @@ class TestFloatShape:
 
     def test_put_and_row(self):
         # a column of floats written row by row or as one slice, and read
-        # back row by row, as the array form writes and reads (1,) rows
+        # back as a list of rows, as the array form writes and reads (1,)
+        # rows
         vals = SIGNED + [math.nan, -math.nan]
         want = np.full((len(vals), 1), 7.0)
         for i, x in enumerate(vals):
@@ -705,10 +770,13 @@ class TestFloatShape:
             _FLOAT.put(by_row, i, x)
         _FLOAT.put(by_slice, slice(0, len(vals)), vals)
         assert same_bits(by_row, want) and same_bits(by_slice, want)
-        got = [_FLOAT.row(want, i) for i in range(len(vals))]
+        got = _FLOAT.rows(want)
         assert all(type(x) is float for x in got)
-        assert same_bits(got, [_ARRAY.row(want, i).item()
-                               for i in range(len(vals))])
+        assert same_bits(got, [r.item() for r in _ARRAY.rows(want)])
+        # and the whole list written back, as run_iteration does
+        back = np.full_like(want, 7.0)
+        _FLOAT.put(back, slice(None), got)
+        assert same_bits(back, want)
 
     @pytest.mark.parametrize("name", ["I", "II"])
     def test_desired_path_in_the_loops_form(self, name):

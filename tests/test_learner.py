@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fblf_ilc.engine import _ARRAY, _FLOAT
 from fblf_ilc.learner import ParamMemory, TimeGrid, sat
 
 
@@ -109,3 +110,36 @@ class TestUpdate:
             m.update_node(i, np.array([0.0]), gamma=1.0)
         after = sat(m.theta_star, m.bound)
         np.testing.assert_allclose(after, before)
+
+
+class TestStore:
+    """update_node on a list of theta_star's rows, as the engine runs it,
+    gives the results and rows of the default store, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.sampled_from([1, 2]),
+           bound=st.sampled_from([0.5, 1.0, 2.0]),
+           rows=st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10),
+           zs=st.lists(st.floats(-1e3, 1e3), min_size=20, max_size=20),
+           gamma=st.floats(1e-3, 10.0),
+           order=st.permutations(range(5)))
+    def test_list_store_matches_theta_star(self, m, bound, rows, zs, gamma,
+                                           order):
+        # m = 1: float rows, z and results with the engine's float clamp;
+        # m = 2: (2,) rows; each node learned twice, rows inside and
+        # beyond the bound
+        shape = _FLOAT if m == 1 else _ARRAY
+        want, got = mem(m=m, bound=bound), mem(m=m, bound=bound)
+        start = np.array(rows[:5 * m]).reshape(5, m)
+        want.theta_star[:], got.theta_star[:] = start, start
+        store = shape.rows(got.theta_star)
+        for j, i in enumerate(list(order) * 2):
+            z = np.array(zs[j * m:j * m + m])
+            expect = want.update_node(i, z, gamma)
+            out = got.update_node(i, z.item() if m == 1 else z, gamma,
+                                  shape.clamp, store)
+            if m == 1:
+                assert all(type(x) is float for x in out)
+            assert np.array(out).tobytes() == np.array(expect).tobytes()
+        shape.put(got.theta_star, slice(None), store)
+        assert got.theta_star.tobytes() == want.theta_star.tobytes()

@@ -51,11 +51,14 @@ class TestRhsModel1:
         assert out == pytest.approx(-0.5)
 
     def test_dimension_mismatch(self, m1):
-        # the model's f and g see a 2-vector state, whose output the
-        # engine's rhs cannot read into the scalar loop
-        rhs = m1.loop_terms(_FLOAT)[2]
-        with pytest.raises(ValueError):
-            rhs(np.zeros(2), 0.0, 0.0, 0.0)
+        # the model's f returns a 2-vector, which the engine cannot read
+        # into the scalar loop
+        model = dataclasses.replace(m1, f=lambda e, t: np.full(2, -e))
+        cfg = ControllerConfig(mode=Mode.DISC, bound=0.5, gamma=2.0,
+                               theta_bar=1.0)
+        with pytest.raises(ValueError, match="^can only convert an array "
+                                             "of size 1 to a Python scalar$"):
+            run(model, cfg, K=1, N=10)
 
 
 class TestRhsModel2:
