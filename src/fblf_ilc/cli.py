@@ -252,9 +252,11 @@ def cmd_compare_blf(args) -> int:
 
 
 def _column(rows, name) -> list[float]:
-    """One CSV column as floats; a missing cell is named by its index."""
+    """One CSV column as floats; a missing cell or long row names its index."""
     values = []
     for k, row in enumerate(rows):
+        if None in row:  # DictReader files the extra fields under None
+            raise ValueError(f"row {k} has more fields than the header")
         if row[name] is None:
             raise ValueError(f"{name}[{k}] is missing")
         values.append(float(row[name]))
@@ -274,6 +276,9 @@ def cmd_check_lemmas(args) -> int:
             columns = reader.fieldnames or []
         if "r" not in columns or "s" not in columns:
             raise ValueError("CSV must have columns r,s[,d]")
+        for name in ("r", "s", "d"):
+            if columns.count(name) > 1:  # DictReader keeps the last one
+                raise ValueError(f"column {name} is named more than once")
         if not rows:
             raise ValueError("no data rows")
         seq = analysis.SequenceTriple(

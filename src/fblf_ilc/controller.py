@@ -41,14 +41,14 @@ class ControllerConfig:
             raise ValueError("continuous mode requires eps > 0")
 
 
-def robust_term(config: ControllerConfig, zero, dot):
+def robust_term(config: ControllerConfig, dot):
     """The robust action s(z, rho) of config's mode.
 
     disc: the unit-vector action (z/||z||) rho, exactly zero at z = 0;
     cont: its smoothed replacement mu/(||mu|| + eps) rho with mu = z rho.
-    zero (the action at z = 0) and dot (the inner product, as a float)
-    fix the shape z takes: np.zeros(m) and float(a @ b) for m inputs,
-    0.0 and a float product when the engine runs an m = 1 model.
+    dot, the inner product as a float, fixes the shape z takes:
+    float(a @ b) for m inputs, a float product when the engine runs an
+    m = 1 model.  The action at z = 0 is +0.0 in z's own type and shape.
     """
     if config.mode is Mode.CONT:
         eps = config.eps
@@ -61,6 +61,6 @@ def robust_term(config: ControllerConfig, zero, dot):
     def robust(z, rho):
         nz = math.sqrt(dot(z, z))
         if nz < _Z_ZERO:
-            return zero
+            return z - z  # +0.0: z is finite here
         return (rho / nz) * z
     return robust

@@ -98,20 +98,14 @@ def _item(a) -> float:
     return a.item() if isinstance(a, np.ndarray) else float(a)
 
 
-def _put_float(a, i, x):
-    a[i, 0] = x
-
-
 class _Shape(NamedTuple):
-    """The primitives through which one closed loop serves both shapes."""
+    """The primitives in which the float and the array loop differ."""
     unwrap: Callable   # a model's vector or matrix -> the loop's form
     dot: Callable      # inner product, as a float
     self_dot: Callable  # x . x, as a float (the robust term's ||x||^2)
     matvec: Callable   # matrix (in the loop's form) times vector
     clamp: Callable    # component-wise clamp to [-b, b]
     rows: Callable     # a 2-D array's rows, in the loop's form, as a list
-    put: Callable      # a[i] = x, row(s) i of a 2-D array from the loop's form
-    zeros: Callable    # zero vector of a given length
 
 
 # n = m = 1: Python floats throughout.  numpy's one-term matmul and dot
@@ -126,8 +120,6 @@ _FLOAT = _Shape(
     matvec=lambda M, x: 0.0 + M * x,
     clamp=lambda v, b: -b if v < -b else (b if v > b else v),
     rows=lambda a: a[:, 0].tolist(),
-    put=_put_float,
-    zeros=lambda n: 0.0,
 )
 _ARRAY = _Shape(
     unwrap=lambda a: a,
@@ -136,18 +128,20 @@ _ARRAY = _Shape(
     matvec=operator.matmul,
     clamp=sat,
     rows=list,
-    put=operator.setitem,
-    zeros=np.zeros,
 )
 
 
-def _table(put, rows, shape) -> np.ndarray:
-    """An array of shape holding rows, written by put, then NaN rows."""
-    a = np.empty(shape)
-    if rows:  # numpy reads [] as shape (0,), not (0, n)
-        put(a, slice(0, len(rows)), rows)
-    a[len(rows):] = np.nan
-    return a
+def _table(rows, shape) -> np.ndarray:
+    """An array of shape holding rows, in either loop's form, then NaN
+    rows: those a breach left unwritten."""
+    # numpy reads [] as shape (0,), so the reshape names the row shape
+    a = np.array(rows, dtype=float).reshape(len(rows), *shape[1:])
+    if len(rows) == shape[0]:
+        return a
+    full = np.empty(shape)
+    full[:len(rows)] = a
+    full[len(rows):] = np.nan
+    return full
 
 
 def _blf(model, config: ControllerConfig, scheme: plant.Scheme) -> Callable:
@@ -175,10 +169,10 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     value, grad, rhs = model.loop_terms(shape)
     bound = plant.value_bound(model, config.bound)
     d1 = FORMS[scheme.gain][1]
-    unwrap, clamp, put = shape.unwrap, shape.clamp, shape.put
+    unwrap, clamp = shape.unwrap, shape.clamp
     gamma = config.gamma
     n, m = model.n, model.m
-    robust = robust_term(config, shape.zeros(m), shape.self_dot)
+    robust = robust_term(config, shape.self_dot)
     update = memory.update_node
     N, dt = grid.N, grid.dt
     rho = model.uncertainty.rho
@@ -199,7 +193,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     es, us, vs, ths = [], [], [], []
     store = shape.rows(memory.theta_star)
     breach_node = None
-    e = shape.zeros(n)  # alignment: x_k(0) = x_d(0)
+    e = unwrap(np.zeros(n))  # alignment: x_k(0) = x_d(0)
     half_dt = 0.5 * dt
     try:
         for i in range(N + 1):
@@ -229,13 +223,12 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     except _Breach:
         breach_node = i
     finally:
-        put(memory.theta_star, slice(None), store)
+        memory.theta_star[:] = _table(store, memory.theta_star.shape)
     # the rows from a breach on are NaN
     return IterationTrace(
-        k=k, t=grid.nodes, e=_table(put, es, (N + 1, n)),
-        u=_table(put, us, (N + 1, m)),
-        V=_table(operator.setitem, vs, N + 1),
-        theta_hat=_table(put, ths, (N + 1, m)), breach_node=breach_node)
+        k=k, t=grid.nodes, e=_table(es, (N + 1, n)), u=_table(us, (N + 1, m)),
+        V=_table(vs, (N + 1,)), theta_hat=_table(ths, (N + 1, m)),
+        breach_node=breach_node)
 
 
 def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,

@@ -585,6 +585,25 @@ class TestCheckLemmas:
         err = capsys.readouterr().err
         assert err == f"error: malformed CSV: {message}\n"
 
+    def test_column_named_twice_exit_1(self, tmp_path, capsys):
+        # the second r (increasing) would be read and violate lemma 1
+        csv_path = tmp_path / "seq.csv"
+        rows = ["r,s,r"] + [f"{2.0 ** -k},{2.0 ** -k},{k + 1.0}"
+                            for k in range(10)]
+        csv_path.write_text("\n".join(rows) + "\n")
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: malformed CSV: column r is named more than "
+                       "once\n")
+
+    def test_row_longer_than_header_exit_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text("r,s\n1.0,0.5\n0.5,0.4,extra\n0.25,0.2\n")
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: malformed CSV: row 1 has more fields than "
+                       "the header\n")
+
     def test_byte_order_mark_skipped(self, tmp_path, capsys):
         # Excel's "CSV UTF-8" export starts the file with a BOM
         text = "r,s\r\n" + "".join(f"{2.0 ** -k},{2.0 ** -k}\r\n"

@@ -37,13 +37,13 @@ def z_model2(theorem, e, b_e):
 
 def robust_disc(z, rho):
     cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0, theta_bar=1.0)
-    return robust_term(cfg, np.zeros(len(z)), _ARRAY.dot)(z, rho)
+    return robust_term(cfg, _ARRAY.dot)(z, rho)
 
 
 def robust_cont(z, rho, eps):
     cfg = ControllerConfig(mode=Mode.CONT, bound=1.0, gamma=1.0, theta_bar=1.0,
                            eps=eps)
-    return robust_term(cfg, np.zeros(len(z)), _ARRAY.dot)(z, rho)
+    return robust_term(cfg, _ARRAY.dot)(z, rho)
 
 
 class TestZBuilders:
@@ -82,6 +82,25 @@ class TestZBuilders:
 class TestRobustDisc:
     def test_zero_branch(self):
         np.testing.assert_array_equal(robust_disc(v(0), 1.0), v(0))
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 1e300, math.inf])
+    def test_zero_branch_is_positive_zero_in_zs_shape(self, rho):
+        # below the zero threshold the action is z - z: +0.0 as a float
+        # for the float loop, np.zeros(m) for arrays whose dot underflows
+        def bits(a):
+            return np.array(a).tobytes()
+
+        cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0,
+                               theta_bar=1.0)
+        for dot in (_FLOAT.self_dot, _FLOAT.dot):
+            for z in (0.0, -0.0, 5e-324, -5e-324):
+                out = robust_term(cfg, dot)(z, rho)
+                assert type(out) is float and bits(out) == bits(0.0), z
+        for z in (v(0.0), v(-0.0, 0.0), v(1e-200, -1e-200),
+                  v(-1e-200, -0.0, 5e-324)):
+            out = robust_term(cfg, _ARRAY.dot)(z, rho)
+            assert out.shape == z.shape, z
+            assert bits(out) == bits(np.zeros(len(z))), z
 
     def test_unit_direction(self):
         np.testing.assert_allclose(robust_disc(v(3, 4), 10.0), v(6, 8))

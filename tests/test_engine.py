@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from fblf_ilc import engine, plant
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
 from fblf_ilc.barrier import FORMS
-from fblf_ilc.engine import (_ARRAY, _FLOAT, check_delta_L, monitor_L, run,
-                             run_iteration, write_summary_csv,
-                             write_trace_csv)
+from fblf_ilc.engine import (_ARRAY, _FLOAT, _table, check_delta_L,
+                             monitor_L, run, run_iteration,
+                             write_summary_csv, write_trace_csv)
 from fblf_ilc.learner import ParamMemory, TimeGrid
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
                             _desired, float_native, scalar_model_i,
@@ -133,7 +133,7 @@ class TestRunIteration:
         grad = model.loop_terms(_FLOAT)[1]
         d1 = FORMS[scheme(model, theorem).gain][1]
         bound = value_bound(model, cfg.bound)
-        robust = robust_term(cfg, 0.0, _FLOAT.dot)
+        robust = robust_term(cfg, _FLOAT.dot)
         for i, t in enumerate(tr.t):
             x = _FLOAT.unwrap(tr.e[i])
             s = robust(d1(tr.V[i], bound) * grad(x, t),
@@ -713,6 +713,41 @@ class TestTwoInputs:
         assert header == ("k,t,e0,e1,u0,u1,V,L,theta_hat0,theta_hat1,"
                           "breach")
 
+    # (bound, breach node of each iteration, breach at the node itself):
+    # V reaches the bound at node 1, or inside an integrator stage of the
+    # interval after breach_node, whose node was learned before
+    @pytest.mark.parametrize("bound, nodes, at_node", [
+        pytest.param(0.07, [1, 1, 1], True, id="node"),
+        pytest.param(0.5, [None, 7, 2], False, id="stage")])
+    def test_breach(self, bound, nodes, at_node):
+        model = two_channel_model()
+        cfg = disc_cfg(bound=bound)
+        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=2, bound=1.0)
+        for k, node in enumerate(nodes):
+            before = memory.theta_star.copy()
+            tr = run_iteration(model, cfg, memory, scheme(model, 1), k=k)
+            assert tr.breach_node == node
+            star = memory.theta_star
+            assert same_bits(star[:, 0], star[:, 1])
+            for f in ("e", "u", "theta_hat"):
+                col = getattr(tr, f)
+                assert col.shape == (11, 2), f
+                assert same_bits(col[:, 0], col[:, 1]), f
+            if node is None:
+                continue
+            first = node if at_node else node + 1
+            assert np.isnan(tr.V[first:]).all()
+            for f in ("e", "u", "theta_hat"):
+                col = getattr(tr, f)
+                assert np.isfinite(col[:first]).all(), f
+                assert np.isnan(col[first:]).all(), f
+            # the write-back leaves the rows after the breach node as they
+            # were, and keeps the rows learned before it
+            assert same_bits(star[node + 1:], before[node + 1:])
+            if not at_node:
+                assert not np.array_equal(star[:node + 1],
+                                          before[:node + 1])
+
 
 class TestFloatShape:
     """The float primitives give numpy's one-element results bit for bit,
@@ -738,8 +773,8 @@ class TestFloatShape:
         # the float dot gives: x * x is never -0.0
         assert _FLOAT.self_dot is operator.mul
         cfg = disc_cfg() if mode == "disc" else cont_cfg()
-        by_mul = robust_term(cfg, 0.0, _FLOAT.self_dot)
-        by_dot = robust_term(cfg, 0.0, lambda a, b: 0.0 + a * b)
+        by_mul = robust_term(cfg, _FLOAT.self_dot)
+        by_dot = robust_term(cfg, lambda a, b: 0.0 + a * b)
         rng = np.random.default_rng(22)
         zs = [s * x for x in (0.0, 5e-324, 1e-160, 1.5e154, 1e200, math.inf)
               for s in (1.0, -1.0)] + [math.nan]
@@ -757,25 +792,30 @@ class TestFloatShape:
             got = _FLOAT.unwrap(a)
             assert type(got) is float and same_bits(got, want), a
 
-    def test_put_and_row(self):
-        # a column of floats written row by row or as one slice, and read
-        # back as a list of rows, as the array form writes and reads (1,)
-        # rows
+    def test_table_and_rows(self):
+        # a column of floats and the same column as (1,) rows give one
+        # table, bit for bit, whole or cut short with a NaN tail, and the
+        # table is read back as a list of rows, as the array form reads
+        # (1,) rows
         vals = SIGNED + [math.nan, -math.nan]
-        want = np.full((len(vals), 1), 7.0)
+        N = len(vals)
+        want = np.full((N, 1), 7.0)
         for i, x in enumerate(vals):
-            _ARRAY.put(want, i, np.array([x]))
-        by_row, by_slice = np.full_like(want, 7.0), np.full_like(want, 7.0)
-        for i, x in enumerate(vals):
-            _FLOAT.put(by_row, i, x)
-        _FLOAT.put(by_slice, slice(0, len(vals)), vals)
-        assert same_bits(by_row, want) and same_bits(by_slice, want)
+            want[i] = np.array([x])
+        for cut in (N, 5, 0):
+            by_float = _table(vals[:cut], (N, 1))
+            by_row = _table([np.array([x]) for x in vals[:cut]], (N, 1))
+            assert by_float.shape == by_row.shape == (N, 1)
+            assert same_bits(by_float, by_row)
+            assert same_bits(by_float[:cut], want[:cut])
+            assert same_bits(by_float[cut:], np.full((N - cut, 1), np.nan))
+            assert same_bits(_table(vals[:cut], (N,)), by_float[:, 0])
         got = _FLOAT.rows(want)
         assert all(type(x) is float for x in got)
         assert same_bits(got, [r.item() for r in _ARRAY.rows(want)])
         # and the whole list written back, as run_iteration does
         back = np.full_like(want, 7.0)
-        _FLOAT.put(back, slice(None), got)
+        back[:] = _table(got, back.shape)
         assert same_bits(back, want)
 
     @pytest.mark.parametrize("name", ["I", "II"])

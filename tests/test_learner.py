@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblf_ilc.engine import _ARRAY, _FLOAT
+from fblf_ilc.engine import _ARRAY, _FLOAT, _table
 from fblf_ilc.learner import ParamMemory, TimeGrid, sat
 
 
@@ -141,5 +141,5 @@ class TestStore:
             if m == 1:
                 assert all(type(x) is float for x in out)
             assert np.array(out).tobytes() == np.array(expect).tobytes()
-        shape.put(got.theta_star, slice(None), store)
+        got.theta_star[:] = _table(store, got.theta_star.shape)
         assert got.theta_star.tobytes() == want.theta_star.tobytes()
