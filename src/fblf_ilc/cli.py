@@ -217,6 +217,10 @@ def cmd_simulate(args) -> int:
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             codes.append(4)
             continue
+        except MemoryError as exc:
+            print(f"error: {cfg_path}: out of memory: {exc}", file=sys.stderr)
+            codes.append(1)
+            continue
         try:
             _write_outputs(result, out_dir, args.svg)
         except OSError as exc:

@@ -159,9 +159,6 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     grid = memory.grid
     if grid.T != model.T:  # run builds its grid from model.T
         raise ValueError("memory grid horizon does not match model horizon")
-    if memory.bound != config.theta_bar:
-        raise ValueError(f"memory saturation bound {memory.bound} does not "
-                         f"match theta_bar {config.theta_bar}")
     times = grid.times
     if xd_table is None:
         xd_table = plant._desired(model, times)
@@ -170,7 +167,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     bound = plant.value_bound(model, config.bound)
     d1 = FORMS[scheme.gain][1]
     unwrap, clamp = shape.unwrap, shape.clamp
-    gamma = config.gamma
+    gamma, theta_bar = config.gamma, config.theta_bar
     n, m = model.n, model.m
     robust = robust_term(config, shape.self_dot)
     update = memory.update_node
@@ -204,7 +201,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             # the learning signal z = dB/dV * grad V, B of the gain kind
             z = d1(v, bound) * grad(e, t)
             z = z if type(z) is float else unwrap(z)
-            _, theta_hat = update(i, z, gamma, clamp, store)
+            _, theta_hat = update(i, z, gamma, theta_bar, clamp, store)
             u = -theta_hat - robust(z, rho(e, t))
             es.append(e)
             us.append(u)
@@ -283,7 +280,7 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
         raise ValueError("K must be >= 1")
     scheme = plant.scheme(model, theorem)
     grid = TimeGrid(T=model.T, N=N)
-    memory = ParamMemory(grid, m=model.m, bound=config.theta_bar)
+    memory = ParamMemory(grid, m=model.m)
     xd_table = plant._desired(model, grid.times)
     theta_table = plant.theta_path(model, grid.times[::2], xd_table[::2])
     traces = [run_iteration(model, config, memory, scheme, k=k,

@@ -52,17 +52,14 @@ class TimeGrid:
 class ParamMemory:
     """Across-iteration store of the unsaturated estimates at grid nodes."""
 
-    def __init__(self, grid: TimeGrid, m: int, bound: float):
-        if not bound > 0:
-            raise ValueError("saturation bound must be positive")
+    def __init__(self, grid: TimeGrid, m: int):
         self.grid = grid
-        self.m = m
-        self.bound = float(bound)
         self.theta_star = np.zeros((grid.N + 1, m))
 
     def update_node(self, i: int, z: np.ndarray | float, gamma: float,
-                    clamp=sat, store=None):
-        """Apply the learning recursion at node i; returns (theta_star, theta_hat).
+                    bound: float, clamp=sat, store=None):
+        """Apply the learning recursion at node i, saturating at bound;
+        returns (theta_star, theta_hat).
 
         store holds the rows read and written, theta_star by default;
         clamp fixes the shape z, the rows and the results take: numpy
@@ -71,9 +68,9 @@ class ParamMemory:
         """
         if not 0 <= i <= self.grid.N:
             raise IndexError(f"node index {i} out of range [0, {self.grid.N}]")
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         store = self.theta_star if store is None else store
-        new = clamp(store[i], self.bound) + gamma * z
+        new = clamp(store[i], bound) + gamma * z
         store[i] = new
-        return new, clamp(new, self.bound)
+        return new, clamp(new, bound)

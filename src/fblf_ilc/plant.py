@@ -242,11 +242,11 @@ def check_uncertainty_bound(model) -> bool:
     """Sample-validate ||delta_w(e, t)|| <= rho(e, t) and rho(0, t) = 0
     on _draws' pairs of seed 1."""
     rho = model.uncertainty.rho
-    zero = 0.0 if float_native(model) else np.zeros(model.n)
     for e, t in _draws(model, 1):
         if np.linalg.norm(delta_w(model, t, e)) > rho(e, t) + 1e-9:
             return False
-        if rho(zero, t) != 0.0:
+        # e - e: the zero state, +0.0 in e's type and shape (e is finite)
+        if rho(e - e, t) != 0.0:
             return False
     return True
 

@@ -129,6 +129,29 @@ class TestConfigParsing:
                                               "'mode': 'smooth'"):
             parse_config(path)
 
+    def test_line_without_equals(self, tmp_path):
+        path = write_config(tmp_path, GOOD_CONFIG + "K 4\n")
+        with pytest.raises(ConfigError,
+                           match=r"run\.cfg:10: expected 'key = value'$"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(GOOD_CONFIG.replace("model = scalar-I", "model = nope"),
+                     id="unknown"),
+        pytest.param(GOOD_CONFIG.replace("    model = scalar-I\n", ""),
+                     id="missing")])
+    def test_bad_or_missing_model(self, tmp_path, body):
+        with pytest.raises(ConfigError, match=r"^field 'model' must be one "
+                                              r"of \['scalar-I', 'scalar-II'\]"):
+            parse_config(write_config(tmp_path, body))
+
+    def test_missing_bound_key(self, tmp_path):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("    b_V = 0.5\n",
+                                                          ""))
+        with pytest.raises(ConfigError, match="^field 'b_V' is required for "
+                                              "model scalar-I$"):
+            parse_config(path)
+
     def test_wrong_bound_key_for_model(self, tmp_path):
         body = GOOD_CONFIG.replace("model = scalar-I", "model = scalar-II")
         path = write_config(tmp_path, body)
@@ -391,6 +414,21 @@ class TestSimulate:
         assert main(["simulate", str(path), "--out", str(out)]) == 4
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_memory_exits_1_and_runs_the_next(self, tmp_path, capsys):
+        # numpy refuses a grid of 2N + 1 = 2e15 floats (16 PB) at once,
+        # so this allocates nothing
+        big = write_config(tmp_path, GOOD_CONFIG.replace(
+            "N = 100", "N = 1000000000000000") + f"out = {tmp_path / 'o1'}\n",
+            "big.cfg")
+        good = write_config(tmp_path, GOOD_CONFIG + f"out = {tmp_path / 'o2'}\n",
+                            "good.cfg")
+        assert main(["simulate", str(big), str(good)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {big}: out of memory: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o1").exists()
+        assert (tmp_path / "o2" / "summary.csv").is_file()
 
     @pytest.mark.parametrize("model, bound, cap", [
         ("scalar-I", "b_V = 0.5", 0.5),

@@ -16,7 +16,7 @@ from fblf_ilc.barrier import FORMS
 from fblf_ilc.engine import (_ARRAY, _FLOAT, _table, check_delta_L,
                              monitor_L, run, run_iteration,
                              write_summary_csv, write_trace_csv)
-from fblf_ilc.learner import ParamMemory, TimeGrid
+from fblf_ilc.learner import ParamMemory, TimeGrid, sat
 from fblf_ilc.plant import (ErrorModelI, ErrorModelII, UncertaintySpec,
                             _desired, float_native, scalar_model_i,
                             scalar_model_ii, scheme, theta_path, value_bound)
@@ -86,7 +86,7 @@ RETURN_CASES = [pytest.param("I", 1, {f: form}, id=f"{f}-{form}")
 class TestRunIteration:
     def test_origin_invariant_without_uncertainty(self):
         model = quiet_model()
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
         tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1))
         assert not tr.breach
         np.testing.assert_allclose(tr.e, 0.0, atol=1e-15)
@@ -94,7 +94,7 @@ class TestRunIteration:
 
     def test_alignment_every_iteration(self):
         model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
         for k in range(3):
             tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1),
                                k=k)
@@ -102,7 +102,7 @@ class TestRunIteration:
 
     def test_constraint_respected_iteration_zero(self):
         model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=model.T, N=500), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=500), m=1)
         tr = run_iteration(model, disc_cfg(bound=0.5), memory,
                            scheme(model, 1))
         assert not tr.breach
@@ -111,7 +111,7 @@ class TestRunIteration:
     def test_breach_truncates_and_flags(self):
         # a bound this tight is violated immediately by the transient
         model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=model.T, N=500), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=500), m=1)
         tr = run_iteration(model, disc_cfg(bound=1e-6), memory,
                            scheme(model, 1))
         assert tr.breach
@@ -127,7 +127,7 @@ class TestRunIteration:
         # u = -theta_hat - s(z, rho) at every node, bit for bit, with
         # z = d1(V, bound) * grad of the theorem's gain kind
         model = FACTORIES[name]()
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
         tr = run_iteration(model, cfg, memory, scheme(model, theorem))
         assert not tr.breach
         grad = model.loop_terms(_FLOAT)[1]
@@ -158,7 +158,7 @@ class TestRunIteration:
             "robust", robust_term(*args)))
         N = 50
         one = replace_callables(scalar_model_i(), counted)
-        memory = ParamMemory(TimeGrid(T=one.T, N=N), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=one.T, N=N), m=1)
         assert not run_iteration(one, disc_cfg(), memory,
                                  scheme(one, 1)).breach
         assert counts == {"f": 4 * N, "g": 4 * N, "w": 4 * N,
@@ -167,7 +167,7 @@ class TestRunIteration:
 
         counts.clear()
         two = replace_callables(scalar_model_ii(), counted)
-        memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1)
         assert not run_iteration(two, disc_cfg(bound=1.0), memory,
                                  scheme(two, 1)).breach
         assert counts == {"w": 4 * N, "rho": 4 * N + 1, "robust": 4 * N + 1}
@@ -184,7 +184,7 @@ class TestRunIteration:
             return wrapper
 
         model = replace_callables(FACTORIES[name](), typed)
-        memory = ParamMemory(TimeGrid(T=model.T, N=50), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=50), m=1)
         cfg = disc_cfg(bound=REF_BOUND[name])
         assert not run_iteration(model, cfg, memory, scheme(model, 1)).breach
         fields = (("V", "LgV", "f", "g", "w", "rho") if name == "I"
@@ -232,7 +232,7 @@ class TestRunIteration:
 
     def test_grid_mismatch_rejected(self):
         model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=1.0, N=100), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=1.0, N=100), m=1)
         with pytest.raises(ValueError):
             run_iteration(model, disc_cfg(), memory, scheme(model, 1))
 
@@ -240,20 +240,22 @@ class TestRunIteration:
         # the horizons are compared exactly: at T = 1e-100 an absolute
         # tolerance would pass a grid on half the model's horizon
         model = scalar_model_i(T=1e-100)
-        memory = ParamMemory(TimeGrid(T=5e-101, N=10), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=5e-101, N=10), m=1)
         with pytest.raises(ValueError, match="horizon"):
             run_iteration(model, disc_cfg(), memory, scheme(model, 1))
 
-    def test_saturation_bound_mismatch_rejected(self):
-        # the monitor and the saturation statistics read theta_bar, so a
-        # memory saturating elsewhere would run unreported
+    def test_saturates_at_theta_bar(self):
+        # the memory saturates at the config's theta_bar, which the
+        # monitor and the saturation statistics read
         model = scalar_model_i()
         cfg = dataclasses.replace(disc_cfg(), theta_bar=0.1)
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=5.0)
-        with pytest.raises(ValueError, match=r"memory saturation bound 5\.0 "
-                                             r"does not match theta_bar 0\.1"):
-            run_iteration(model, cfg, memory, scheme(model, 1))
-        assert not memory.theta_star.any()
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
+        for k in range(3):
+            tr = run_iteration(model, cfg, memory, scheme(model, 1), k=k)
+            assert not tr.breach
+        assert np.abs(memory.theta_star).max() > 0.1
+        assert np.abs(tr.theta_hat).max() == 0.1
+        assert same_bits(tr.theta_hat, sat(memory.theta_star, 0.1))
 
     def test_stage_times_are_desired_path_times(self):
         # x_d and every state callable are read at the same instants: the
@@ -281,7 +283,7 @@ class TestRunIteration:
     def test_continuous_mode_smooth_input(self):
         model = scalar_model_i()
         N = 500
-        memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1)
         tr = run_iteration(model, cont_cfg(eps=1e-2), memory, scheme(model, 1))
         dt = model.T / N
         jumps = np.abs(np.diff(tr.u[:, 0]))
@@ -298,7 +300,7 @@ class TestRunIteration:
         base = dataclasses.replace(
             scalar_model_i(), f=lambda e, t: -e if t < 3 else after)
         for model in (base, lift(base)):
-            memory = ParamMemory(TimeGrid(T=model.T, N=40), m=1, bound=1.0)
+            memory = ParamMemory(TimeGrid(T=model.T, N=40), m=1)
             if after == math.inf:
                 with pytest.raises(engine.NonFiniteStateError,
                                    match="t=3.063052837250048"):
@@ -318,7 +320,7 @@ class TestMonitor:
         # with e = 0 and theta_hat = 0, L(T) = (1/2 gamma) * int theta^2
         model = scalar_model_i()
         gamma = 2.0
-        memory = ParamMemory(TimeGrid(T=model.T, N=2000), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=2000), m=1)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         # overwrite with the built-in model's theta: int 0.25 sin^2 = 0.25*pi
         monitor_L([tr], model, disc_cfg(), scheme(model, 1))
@@ -326,7 +328,7 @@ class TestMonitor:
 
     def test_perfect_estimate_gives_zero(self):
         model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         for i, t in enumerate(tr.t):
             tr.theta_hat[i] = 0.5 * math.sin(t)
@@ -335,17 +337,21 @@ class TestMonitor:
 
     def test_nondecreasing_when_v_zero(self):
         model = scalar_model_i()
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
         tr = run_iteration(quiet_model(), disc_cfg(), memory, scheme(model, 1))
         monitor_L([tr], model, disc_cfg(), scheme(model, 1))
         assert np.all(np.diff(tr.L) >= -1e-15)
 
 
 class TestRun:
+    def test_k0_rejected(self):
+        with pytest.raises(ValueError, match="^K must be >= 1$"):
+            run(scalar_model_i(), disc_cfg(), K=0, N=10)
+
     def test_k1_matches_single_iteration(self):
         model = scalar_model_i()
         result = run(model, disc_cfg(), K=1, N=200)
-        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=200), m=1)
         tr = run_iteration(model, disc_cfg(), memory, scheme(model, 1))
         np.testing.assert_allclose(result.traces[0].e, tr.e)
         assert tr.L is None  # set by monitor_L, which run calls
@@ -627,7 +633,7 @@ class TestArrayForm:
                                                            N):
         cfg = disc_cfg(bound=bound)
         for model in (FACTORIES[name](), lift(FACTORIES[name]())):
-            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
+            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1)
             memory.theta_star[:] = 0.25
             before = memory.theta_star.copy()
             tr = run_iteration(model, cfg, memory, scheme(model, 1))
@@ -647,7 +653,7 @@ class TestArrayForm:
                               ("I", 0.0025, 10, True), ("II", 0.05, 10, True)])
     def test_breach_leaves_later_rows_nan(self, name, bound, N, at_node):
         for model in (FACTORIES[name](), lift(FACTORIES[name]())):
-            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1, bound=1.0)
+            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1)
             tr = run_iteration(model, disc_cfg(bound=bound), memory,
                                scheme(model, 1))
             assert tr.breach and 0 < tr.breach_node < N
@@ -663,7 +669,7 @@ class TestArrayForm:
         model = dataclasses.replace(base, certificate=dataclasses.replace(
             base.certificate, V=lambda e, t: 1.0 + 0.5 * (e * e)))
         for each in (model, lift(model)):
-            memory = ParamMemory(TimeGrid(T=each.T, N=10), m=1, bound=1.0)
+            memory = ParamMemory(TimeGrid(T=each.T, N=10), m=1)
             tr = run_iteration(each, disc_cfg(), memory, scheme(each, 1))
             assert tr.breach and tr.breach_node == 0
             for f in ("e", "u", "V", "theta_hat"):
@@ -722,7 +728,7 @@ class TestTwoInputs:
     def test_breach(self, bound, nodes, at_node):
         model = two_channel_model()
         cfg = disc_cfg(bound=bound)
-        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=2, bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=2)
         for k, node in enumerate(nodes):
             before = memory.theta_star.copy()
             tr = run_iteration(model, cfg, memory, scheme(model, 1), k=k)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from fblf_ilc.engine import _ARRAY, _FLOAT, _table
 from fblf_ilc.learner import ParamMemory, TimeGrid, sat
 
 
-def mem(N=4, T=1.0, m=1, bound=1.0):
-    return ParamMemory(TimeGrid(T=T, N=N), m=m, bound=bound)
+def mem(N=4, T=1.0, m=1):
+    return ParamMemory(TimeGrid(T=T, N=N), m=m)
 
 
 class TestSat:
@@ -79,37 +80,58 @@ class TestGrid:
 class TestUpdate:
     def test_from_zero(self):
         m = mem()
-        star, hat = m.update_node(0, np.array([1.0]), gamma=0.5)
+        star, hat = m.update_node(0, np.array([1.0]), gamma=0.5, bound=1.0)
         assert star == pytest.approx(0.5)
         assert hat == pytest.approx(0.5)
 
     def test_clamp_on_read(self):
         m = mem()
         m.theta_star[0] = 0.9
-        star, hat = m.update_node(0, np.array([1.0]), gamma=0.5)
+        star, hat = m.update_node(0, np.array([1.0]), gamma=0.5, bound=1.0)
         assert star == pytest.approx(1.4)
         assert hat == pytest.approx(1.0)
 
     def test_previous_value_saturated_first(self):
         m = mem()
         m.theta_star[0] = 5.0
-        star, hat = m.update_node(0, np.array([0.0]), gamma=0.5)
+        star, hat = m.update_node(0, np.array([0.0]), gamma=0.5, bound=1.0)
         assert star == pytest.approx(1.0)
         assert hat == pytest.approx(1.0)
 
     def test_index_range(self):
         m = mem()
         with pytest.raises(IndexError):
-            m.update_node(5, np.array([0.0]), gamma=1.0)
+            m.update_node(5, np.array([0.0]), gamma=1.0, bound=1.0)
 
     def test_zero_signal_is_fixed_point(self):
         m = mem()
         m.theta_star[:] = np.linspace(-3, 3, 5)[:, None]
-        before = sat(m.theta_star.copy(), m.bound)
+        before = sat(m.theta_star.copy(), 1.0)
         for i in range(5):
-            m.update_node(i, np.array([0.0]), gamma=1.0)
-        after = sat(m.theta_star, m.bound)
+            m.update_node(i, np.array([0.0]), gamma=1.0, bound=1.0)
+        after = sat(m.theta_star, 1.0)
         np.testing.assert_allclose(after, before)
+
+    def test_memory_keeps_only_theta_star(self):
+        # the saturation bound is the config's theta_bar, passed per call
+        assert vars(mem()).keys() == {"grid", "theta_star"}
+        assert list(inspect.signature(ParamMemory.update_node).parameters) == [
+            "self", "i", "z", "gamma", "bound", "clamp", "store"]
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_gamma(self, gamma):
+        # gamma = inf used to return NaN rows
+        m = mem()
+        with pytest.raises(
+                ValueError,
+                match=f"^gamma must be positive and finite, got {gamma}$"):
+            m.update_node(0, np.array([0.0]), gamma, bound=1.0)
+        assert m.theta_star.tobytes() == np.zeros((5, 1)).tobytes()
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+    def test_default_clamp_rejects_bad_bound(self, bound):
+        with pytest.raises(ValueError, match="saturation bound must be positive"):
+            mem().update_node(0, np.array([1.0]), 0.5, bound=bound)
 
 
 class TestStore:
@@ -129,15 +151,15 @@ class TestStore:
         # m = 2: (2,) rows; each node learned twice, rows inside and
         # beyond the bound
         shape = _FLOAT if m == 1 else _ARRAY
-        want, got = mem(m=m, bound=bound), mem(m=m, bound=bound)
+        want, got = mem(m=m), mem(m=m)
         start = np.array(rows[:5 * m]).reshape(5, m)
         want.theta_star[:], got.theta_star[:] = start, start
         store = shape.rows(got.theta_star)
         for j, i in enumerate(list(order) * 2):
             z = np.array(zs[j * m:j * m + m])
-            expect = want.update_node(i, z, gamma)
+            expect = want.update_node(i, z, gamma, bound)
             out = got.update_node(i, z.item() if m == 1 else z, gamma,
-                                  shape.clamp, store)
+                                  bound, shape.clamp, store)
             if m == 1:
                 assert all(type(x) is float for x in out)
             assert np.array(out).tobytes() == np.array(expect).tobytes()

@@ -110,6 +110,14 @@ class TestUncertainty:
         assert not result.any_breach
         assert np.all(np.isfinite(result.traces[-1].L))
 
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lambda e, t: 0.1 * abs(e), id="bound-fails"),
+        pytest.param(lambda e, t: 0.5 * abs(e) + 1.0, id="nonzero-at-zero")])
+    def test_bad_rho_rejected(self, m1, rho):
+        unc = dataclasses.replace(m1.uncertainty, rho=rho)
+        assert not check_uncertainty_bound(dataclasses.replace(
+            m1, uncertainty=unc))
+
 
 class TestCertificate:
     def test_zero_at_origin(self, m1):
@@ -123,6 +131,14 @@ class TestCertificate:
 
     def test_sampled_inequalities(self, m1):
         assert check_certificate(m1)
+
+    @pytest.mark.parametrize("field, fn", [
+        pytest.param("alpha1", lambda s: s * s, id="bracket-fails"),
+        pytest.param("dissipation", lambda e, t: e * e,
+                     id="dissipation-fails")])
+    def test_bad_certificate_rejected(self, m1, field, fn):
+        cert = dataclasses.replace(m1.certificate, **{field: fn})
+        assert not check_certificate(dataclasses.replace(m1, certificate=cert))
 
     def test_alpha1_inverse(self, m1):
         for s in (0.1, 0.7, 2.0):
