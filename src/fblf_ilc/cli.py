@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, engine, svgplot
 from .barrier import BarrierDomainError
 from .controller import ControllerConfig, Mode
-from .plant import BUILTIN_MODELS, value_bound
+from .plant import BUILTIN_MODELS, scheme, value_bound
 
 
 class ConfigError(Exception):
@@ -58,18 +58,17 @@ _FIELDS = {
     "out": (str, None),
 }
 
-_POSITIVE = ("eps", "gamma", "theta_bar", "K", "N", "T")
+# the controller's fields are checked by ControllerConfig
+_POSITIVE = ("K", "T")
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(ControllerConfig):
+    """A parsed config: the controller the engine runs, plus the run's
+    model, theorem, size and output directory.  bound is the value of
+    the model type's bound_key."""
     model: str
     theorem: int
-    mode: Mode
-    eps: float | None
-    bound: float  # the value of the model type's bound_key
-    gamma: float
-    theta_bar: float
     K: int
     N: int
     T: float | None
@@ -116,47 +115,44 @@ def parse_config(path) -> RunConfig:
 
     model = values.get("model")
     if model not in models:
-        raise ConfigError(f"field 'model' must be one of "
+        raise ConfigError(f"{path}: field 'model' must be one of "
                           f"{sorted(models)}, got {model!r}")
-    bound_key, theorems = models[model].bound_key, models[model].theorems
+    bound_key = models[model].bound_key
     for key in _POSITIVE + (bound_key,):
         if key in values and not values[key] > 0:
-            raise ConfigError(f"field '{key}' must be positive, got {values[key]}")
+            raise ConfigError(f"{path}: field '{key}' must be positive, "
+                              f"got {values[key]}")
     if values["N"] < 2:
-        raise ConfigError(f"field 'N' must be >= 2, got {values['N']}")
-    theorem = values["theorem"]
-    if theorem not in theorems:
-        raise ConfigError(f"field 'theorem' must be one of "
-                          f"{sorted(theorems)}, got {theorem}")
-    mode = values.get("mode",
-                      Mode.CONT if theorems[theorem].smoothed else Mode.DISC)
-    if mode is Mode.CONT and "eps" not in values:
-        raise ConfigError("field 'eps' is required in continuous mode")
-
+        raise ConfigError(f"{path}: field 'N' must be >= 2, got {values['N']}")
     for key in bound_keys:
         if key != bound_key and key in values:
-            raise ConfigError(f"field '{key}' does not apply to model {model}")
+            raise ConfigError(f"{path}: field '{key}' does not apply to "
+                              f"model {model}")
     if bound_key not in values:
-        raise ConfigError(f"field '{bound_key}' is required for model {model}")
+        raise ConfigError(f"{path}: field '{bound_key}' is required for "
+                          f"model {model}")
 
-    return RunConfig(
-        model=model, theorem=theorem, mode=mode,
-        eps=values.get("eps"), bound=values[bound_key],
-        gamma=values["gamma"], theta_bar=values["theta_bar"],
-        K=values["K"], N=values["N"], T=values.get("T"),
-        out=values.get("out"),
-    )
+    # the theorem table and the controller's rules raise ValueError
+    try:
+        smoothed = scheme(models[model], values["theorem"]).smoothed
+        values.setdefault("mode", Mode.CONT if smoothed else Mode.DISC)
+        return RunConfig(**{key: values.get(key) for key in _FIELDS},
+                         bound=values[bound_key])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
 
 
 def _out_dir_blocked(out_dir: Path) -> str | None:
     """Why out_dir cannot be created, if that shows before writing: the
     nearest existing one of it and its parents is not a directory, or the
-    OS rejects the path."""
+    OS rejects the path (a NUL byte in it raises ValueError, a symlink
+    loop RuntimeError before Python 3.13)."""
     try:
+        out_dir.resolve()
         for path in (out_dir, *out_dir.parents):
             if path.exists():
                 return None if path.is_dir() else f"{path} is not a directory"
-    except OSError as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         return str(exc)
     return None
 
@@ -164,10 +160,7 @@ def _out_dir_blocked(out_dir: Path) -> str | None:
 def _run_one(cfg: RunConfig) -> engine.RunResult:
     factory = BUILTIN_MODELS[cfg.model]
     model = factory(cfg.T) if cfg.T is not None else factory()
-    ctl_cfg = ControllerConfig(mode=cfg.mode, bound=cfg.bound,
-                               gamma=cfg.gamma, theta_bar=cfg.theta_bar,
-                               eps=cfg.eps)
-    return engine.run(model, ctl_cfg, K=cfg.K, N=cfg.N, theorem=cfg.theorem)
+    return engine.run(model, cfg, K=cfg.K, N=cfg.N, theorem=cfg.theorem)
 
 
 def _write_outputs(result: engine.RunResult, out_dir: Path, svg: bool) -> None:
@@ -196,17 +189,17 @@ def cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         out_dir = Path(args.out or cfg.out or Path(cfg_path).with_suffix("").name)
+        blocked = _out_dir_blocked(out_dir)
+        if blocked is not None:
+            print(f"error: cannot write to {out_dir}: {blocked}",
+                  file=sys.stderr)
+            return 1
         key = out_dir.resolve()
         if key in claimed:
             print(f"error: {claimed[key]} and {cfg_path} both write to "
                   f"{out_dir}", file=sys.stderr)
             return 1
         claimed[key] = cfg_path
-        blocked = _out_dir_blocked(out_dir)
-        if blocked is not None:
-            print(f"error: cannot write to {out_dir}: {blocked}",
-                  file=sys.stderr)
-            return 1
         runs.append((cfg_path, cfg, out_dir))
     codes = []
     for cfg_path, cfg, out_dir in runs:
@@ -248,7 +241,7 @@ def cmd_compare_blf(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report.to_csv(out_dir / "blf_report.csv")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     print(report.to_text(), end="")

@@ -163,7 +163,8 @@ class ErrorModelII:
 def scheme(model, theorem: int) -> Scheme:
     """The scheme of theorem, from the model type's table."""
     if theorem not in model.theorems:
-        raise ValueError(f"theorem must be one of {sorted(model.theorems)}")
+        raise ValueError(f"theorem must be one of {sorted(model.theorems)}, "
+                         f"got {theorem}")
     return model.theorems[theorem]
 
 

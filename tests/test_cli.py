@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import textwrap
 from pathlib import Path
 
@@ -59,6 +60,27 @@ class TestConfigParsing:
                                            gamma=2.0, theta_bar=1.0, eps=0.01)
             assert plant.BUILTIN_MODELS[rc.model]().bound_key == key
 
+    def test_engine_runs_the_parsed_config(self, tmp_path):
+        assert issubclass(cli.RunConfig, ControllerConfig)
+        cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+        assert cli._run_one(cfg).config is cfg
+
+    @pytest.mark.parametrize("field", ["gamma", "theta_bar", "eps"])
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_controller_field_not_positive_names_the_file(self, tmp_path,
+                                                          capsys, field, raw):
+        # a good config first: the error names the bad one, and neither runs
+        good = write_config(tmp_path, GOOD_CONFIG + f"out = {tmp_path / 'o1'}\n",
+                            "good.cfg")
+        bad = write_config(tmp_path, good_config_with(field, raw)
+                           + f"out = {tmp_path / 'o2'}\n", "bad.cfg")
+        assert main(["simulate", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: {field} must be positive and finite, "
+                       f"got {float(raw)}\n")
+        assert not (tmp_path / "o1").exists()
+        assert not (tmp_path / "o2").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.cfg")
@@ -109,8 +131,11 @@ class TestConfigParsing:
         # with no mode set, the smoothed theorem 2 runs cont, so needs eps
         body = (GOOD_CONFIG.replace("theorem = 1", "theorem = 2")
                 .replace("    mode = disc\n", ""))
-        with pytest.raises(ConfigError, match="'eps' is required"):
-            parse_config(write_config(tmp_path, body))
+        path = write_config(tmp_path, body)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                                              r"continuous mode requires "
+                                              r"eps > 0$"):
+            parse_config(path)
         cfg = parse_config(write_config(tmp_path, body + "eps = 0.01\n"))
         assert (cfg.theorem, cfg.mode, cfg.eps) == (2, Mode.CONT, 0.01)
         # and theorem 1 runs disc
@@ -141,15 +166,18 @@ class TestConfigParsing:
         pytest.param(GOOD_CONFIG.replace("    model = scalar-I\n", ""),
                      id="missing")])
     def test_bad_or_missing_model(self, tmp_path, body):
-        with pytest.raises(ConfigError, match=r"^field 'model' must be one "
+        path = write_config(tmp_path, body)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                                              r"field 'model' must be one "
                                               r"of \['scalar-I', 'scalar-II'\]"):
-            parse_config(write_config(tmp_path, body))
+            parse_config(path)
 
     def test_missing_bound_key(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("    b_V = 0.5\n",
                                                           ""))
-        with pytest.raises(ConfigError, match="^field 'b_V' is required for "
-                                              "model scalar-I$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                                              r"field 'b_V' is required for "
+                                              r"model scalar-I$"):
             parse_config(path)
 
     def test_wrong_bound_key_for_model(self, tmp_path):
@@ -215,10 +243,10 @@ class TestModelTypeFields:
                 .replace("theorem = 1", "theorem = 2")
                 .replace("mode = disc", "mode = cont\neps = 0.01"))
         out = tmp_path / "o"
-        assert main(["simulate", str(write_config(tmp_path, body)),
-                     "--out", str(out)]) == 1
+        path = write_config(tmp_path, body)
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error: field 'theorem' must be one of [1], got 2" in err
+        assert err == f"error: {path}: theorem must be one of [1], got 2\n"
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -253,9 +281,11 @@ class TestSmoothedTheoremNumbered3:
             assert (cfg.theorem, cfg.mode) == (theorem, mode)
 
     def test_theorem_2_rejected(self, tmp_path, monkeypatch):
-        with pytest.raises(ConfigError, match=r"field 'theorem' must be one "
-                                              r"of \[1, 3\], got 2"):
-            parse_config(self.config(tmp_path, 2, "eps = 0.01\n", "cont"))
+        path = self.config(tmp_path, 2, "eps = 0.01\n", "cont")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                                              r"theorem must be one of "
+                                              r"\[1, 3\], got 2$"):
+            parse_config(path)
         # engine.run's one lookup rejects it before building a memory
         memories = []
 
@@ -476,6 +506,25 @@ class TestSimulate:
         assert err.startswith(f"error: cannot write to {out}: ")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_nul_in_out_exits_1(self, tmp_path, capsys, where):
+        out = f"{tmp_path}/a\0b"
+        in_config = f"out = {out}\n" if where == "config" else ""
+        argv = ["simulate", str(write_config(tmp_path, GOOD_CONFIG + in_config))]
+        assert main(argv + (["--out", out] if where == "flag" else [])) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write to {out}: embedded null byte\n"
+
+    def test_symlink_loop_in_out_exits_1(self, tmp_path, capsys):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        out = tmp_path / "a" / "out"
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_write_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise PermissionError("permission denied")
@@ -566,6 +615,13 @@ class TestCompareBlf:
                      str(tmp_path / "file")]) == 1
         assert "error: cannot write output" in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "keep"
+
+    def test_nul_in_out_exits_1(self, tmp_path, capsys):
+        out = f"{tmp_path}/a\0b"
+        assert main(["compare-blf", "0.5", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot write output: embedded null byte\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bound", ["1e300", "1e103"])
     def test_overflow_exits_4(self, tmp_path, capsys, bound):
