@@ -157,6 +157,11 @@ def _out_dir_blocked(out_dir: Path) -> str | None:
     return None
 
 
+def _printable(text: str) -> str:
+    """text with each unprintable character (a NUL byte, say) escaped."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _run_one(cfg: RunConfig) -> engine.RunResult:
     factory = BUILTIN_MODELS[cfg.model]
     model = factory(cfg.T) if cfg.T is not None else factory()
@@ -191,8 +196,8 @@ def cmd_simulate(args) -> int:
         out_dir = Path(args.out or cfg.out or Path(cfg_path).with_suffix("").name)
         blocked = _out_dir_blocked(out_dir)
         if blocked is not None:
-            print(f"error: cannot write to {out_dir}: {blocked}",
-                  file=sys.stderr)
+            print(f"error: cannot write to {_printable(str(out_dir))}: "
+                  f"{blocked}", file=sys.stderr)
             return 1
         key = out_dir.resolve()
         if key in claimed:

@@ -50,17 +50,18 @@ def robust_term(config: ControllerConfig, dot):
     float(a @ b) for m inputs, a float product when the engine runs an
     m = 1 model.  The action at z = 0 is +0.0 in z's own type and shape.
     """
+    sqrt, z_zero = math.sqrt, _Z_ZERO
     if config.mode is Mode.CONT:
         eps = config.eps
 
         def robust(z, rho):
             mu = z * rho
-            return (rho / (math.sqrt(dot(mu, mu)) + eps)) * mu
+            return (rho / (sqrt(dot(mu, mu)) + eps)) * mu
         return robust
 
     def robust(z, rho):
-        nz = math.sqrt(dot(z, z))
-        if nz < _Z_ZERO:
+        nz = sqrt(dot(z, z))
+        if nz < z_zero:
             return z - z  # +0.0: z is finite here
         return (rho / nz) * z
     return robust

@@ -99,32 +99,29 @@ def _item(a) -> float:
 
 
 class _Shape(NamedTuple):
-    """The primitives in which the float and the array loop differ."""
+    """The primitives in which the float and the array loop differ.  The
+    float dot and matvec are the bare product, -0.0 where numpy's give
+    0.0 + product; so each model term that sums them adds 0.0 once, at
+    its outermost sum, which on arrays changes nothing."""
     unwrap: Callable   # a model's vector or matrix -> the loop's form
     dot: Callable      # inner product, as a float
-    self_dot: Callable  # x . x, as a float (the robust term's ||x||^2)
     matvec: Callable   # matrix (in the loop's form) times vector
     clamp: Callable    # component-wise clamp to [-b, b]
     rows: Callable     # a 2-D array's rows, in the loop's form, as a list
 
 
-# n = m = 1: Python floats throughout.  numpy's one-term matmul and dot
-# add their product to 0.0, turning -0.0 into 0.0, and so do the float
-# dot and matvec; x * x is never -0.0, so self_dot needs no 0.0 +.  Any
-# other operation is the same on floats and arrays (the float clamp
-# keeps NaN and -0.0 as numpy's minimum/maximum do).
+# n = m = 1: Python floats throughout; the float clamp keeps NaN and
+# -0.0 as numpy's minimum/maximum do
 _FLOAT = _Shape(
     unwrap=_item,
-    dot=lambda a, b: 0.0 + a * b,
-    self_dot=operator.mul,
-    matvec=lambda M, x: 0.0 + M * x,
+    dot=operator.mul,
+    matvec=operator.mul,
     clamp=lambda v, b: -b if v < -b else (b if v > b else v),
     rows=lambda a: a[:, 0].tolist(),
 )
 _ARRAY = _Shape(
     unwrap=lambda a: a,
     dot=lambda a, b: float(a @ b),
-    self_dot=lambda a, b: float(a @ b),
     matvec=operator.matmul,
     clamp=sat,
     rows=list,
@@ -169,7 +166,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     unwrap, clamp = shape.unwrap, shape.clamp
     gamma, theta_bar = config.gamma, config.theta_bar
     n, m = model.n, model.m
-    robust = robust_term(config, shape.self_dot)
+    robust = robust_term(config, shape.dot)
     update = memory.update_node
     N, dt = grid.N, grid.dt
     rho = model.uncertainty.rho
@@ -191,7 +188,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     store = shape.rows(memory.theta_star)
     breach_node = None
     e = unwrap(np.zeros(n))  # alignment: x_k(0) = x_d(0)
-    half_dt = 0.5 * dt
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     try:
         for i in range(N + 1):
             t = times[2 * i]
@@ -216,7 +213,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             k2 = deriv(th, e + half_dt * k1, xdh)
             k3 = deriv(th, e + half_dt * k2, xdh)
             k4 = deriv(times[2 * i + 2], e + dt * k3, xd_table[2 * i + 2])
-            e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            e = e + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except _Breach:
         breach_node = i
     finally:

@@ -10,6 +10,7 @@ applied on every read, so the per-iteration recursion is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ class TimeGrid:
             raise ValueError("N must be >= 2")
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
+        # 16 bytes a value at least (array and list); past sys.maxsize
+        # numpy's linspace raises ValueError or IndexError, not MemoryError
+        if 2 * self.N + 1 > sys.maxsize // 16:
+            raise MemoryError(f"a time table of 2N + 1 = {2 * self.N + 1} "
+                              f"values does not fit in the address space")
         object.__setattr__(self, "times", np.linspace(
             0.0, self.T, 2 * self.N + 1).tolist())
         # linspace(0, T, 2N + 1)[::2] is linspace(0, T, N + 1) bit for bit

@@ -84,14 +84,14 @@ class ErrorModelI:
         2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
 
     def loop_terms(self, shape):
-        """The closed loop's (value, grad, rhs), in shape's primitives; the
-        outputs keep the callables' own types, which the loop converts."""
+        """The closed loop's (value, grad, rhs) in shape's primitives, by
+        engine._Shape's 0.0 rule, in the types the callables return."""
         matvec = shape.matvec
         f, g, w = self.f, self.g, self.uncertainty.w
 
         def rhs(e, t, u, xd):
             # dw + theta collapses to w at the actual state
-            return f(e, t) + matvec(g(e, t), u + w(xd + e, t))
+            return 0.0 + (f(e, t) + matvec(g(e, t), u + w(xd + e, t)))
         return self.certificate.V, self.certificate.LgV, rhs
 
     def required_decrease(self, v, blf):
@@ -143,13 +143,13 @@ class ErrorModelII:
         w, dot = self.uncertainty.w, shape.dot
 
         def value(e, t):
-            return dot(e, matvec(P, e))
+            return 0.0 + dot(e, matvec(P, e))
 
         def grad(e, t):
-            return matvec(BtP, e)
+            return 0.0 + matvec(BtP, e)
 
         def rhs(e, t, u, xd):
-            return matvec(A, e) + matvec(B, u + w(xd + e, t))
+            return 0.0 + (matvec(A, e) + matvec(B, u + w(xd + e, t)))
         return value, grad, rhs
 
     def required_decrease(self, v, blf):

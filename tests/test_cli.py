@@ -460,6 +460,20 @@ class TestSimulate:
         assert not (tmp_path / "o1").exists()
         assert (tmp_path / "o2" / "summary.csv").is_file()
 
+    # 2^59 - 1 and 2^62 are past what numpy's linspace can size: they
+    # raised ValueError and IndexError tracebacks; 10^17 it can size and
+    # refuses to allocate
+    @pytest.mark.parametrize("N", [2**59 - 1, 2**62, 10**17])
+    def test_huge_grid_exits_1(self, tmp_path, capsys, N):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("N = 100",
+                                                          f"N = {N}"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: out of memory: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, bound, cap", [
         ("scalar-I", "b_V = 0.5", 0.5),
         ("scalar-II", "b_e = 2", 4.0),
@@ -513,7 +527,10 @@ class TestSimulate:
         argv = ["simulate", str(write_config(tmp_path, GOOD_CONFIG + in_config))]
         assert main(argv + (["--out", out] if where == "flag" else [])) == 1
         err = capsys.readouterr().err
-        assert err == f"error: cannot write to {out}: embedded null byte\n"
+        # the path is shown escaped: a terminal would drop a raw NUL
+        assert "\0" not in err and "a\\x00b" in err
+        assert err == (f"error: cannot write to {tmp_path}/a\\x00b: "
+                       f"embedded null byte\n")
 
     def test_symlink_loop_in_out_exits_1(self, tmp_path, capsys):
         (tmp_path / "a").symlink_to(tmp_path / "b")

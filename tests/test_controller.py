@@ -92,10 +92,9 @@ class TestRobustDisc:
 
         cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=1.0,
                                theta_bar=1.0)
-        for dot in (_FLOAT.self_dot, _FLOAT.dot):
-            for z in (0.0, -0.0, 5e-324, -5e-324):
-                out = robust_term(cfg, dot)(z, rho)
-                assert type(out) is float and bits(out) == bits(0.0), z
+        for z in (0.0, -0.0, 5e-324, -5e-324):
+            out = robust_term(cfg, _FLOAT.dot)(z, rho)
+            assert type(out) is float and bits(out) == bits(0.0), z
         for z in (v(0.0), v(-0.0, 0.0), v(1e-200, -1e-200),
                   v(-1e-200, -0.0, 5e-324)):
             out = robust_term(cfg, _ARRAY.dot)(z, rho)

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -756,17 +758,45 @@ class TestTwoInputs:
 
 
 class TestFloatShape:
-    """The float primitives give numpy's one-element results bit for bit,
+    """The float loop gives numpy's one-element results bit for bit,
     signed zeros and underflow included."""
 
     def test_dot_and_matvec(self):
-        for a in SIGNED:
-            for b in SIGNED:
-                with np.errstate(over="ignore"):
-                    dot = _ARRAY.dot(np.array([a]), np.array([b]))
-                    matvec = (np.array([[a]]) @ np.array([b])).item()
-                assert same_bits(_FLOAT.dot(a, b), dot), (a, b)
-                assert same_bits(_FLOAT.matvec(a, b), matvec), (a, b)
+        # each model type's terms on floats, bare products under one 0.0
+        # per term, give the bits of its terms on one-element arrays,
+        # where numpy's dot and matmul add each product to 0.0
+        def w(x, t):
+            return -0.0 * (x - x)  # -0.0 in x's form, so u + w is u
+
+        def terms(a, b, shape):
+            # model I's f = a and g = b, model II's A = P = a and b = b, in
+            # shape's form; model I's value and grad are its certificate's
+            as_array = shape is _ARRAY
+            one = SimpleNamespace(
+                f=lambda e, t: np.array([a]) if as_array else a,
+                g=lambda e, t: np.array([[b]]) if as_array else b,
+                uncertainty=unc, certificate=SimpleNamespace(V=0, LgV=0))
+            two = SimpleNamespace(A=np.array([[a]]), b=np.array([[b]]),
+                                  P=np.array([[a]]), uncertainty=unc)
+            return (ErrorModelI.loop_terms(one, shape)[2],
+                    *ErrorModelII.loop_terms(two, shape))
+
+        unc = UncertaintySpec(w=w, rho=None)
+        xd = np.zeros(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in itertools.product(SIGNED, SIGNED):
+                rhs_i, value, grad, rhs = terms(a, b, _FLOAT)
+                arr_rhs_i, arr_value, arr_grad, arr_rhs = terms(a, b, _ARRAY)
+                for e in SIGNED:
+                    E = np.array([e])
+                    assert same_bits(value(e, 0.0), arr_value(E, 0.0)), (a, e)
+                    assert same_bits(grad(e, 0.0), arr_grad(E, 0.0)), (a, b, e)
+                    for u in SIGNED:
+                        U = np.array([u])
+                        assert same_bits(rhs_i(e, 0.0, u, 0.0),
+                                         arr_rhs_i(E, 0.0, U, xd)), (a, b, e, u)
+                        assert same_bits(rhs(e, 0.0, u, 0.0),
+                                         arr_rhs(E, 0.0, U, xd)), (a, b, e, u)
 
     def test_clamp(self):
         for v in SIGNED + [2.0, -2.0, math.inf, -math.inf, math.nan]:
@@ -774,13 +804,13 @@ class TestFloatShape:
                              _ARRAY.clamp(np.array([v]), 1.0).item()), v
 
     @pytest.mark.parametrize("mode", ["disc", "cont"])
-    def test_self_dot_in_the_robust_term(self, mode):
-        # the C-level x * x gives the robust term the bits of 0.0 + x * x
-        # the float dot gives: x * x is never -0.0
-        assert _FLOAT.self_dot is operator.mul
+    def test_robust_term_on_the_float_dot(self, mode):
+        # the robust term on the bare float product gives the bits of the
+        # robust term on one-element arrays
+        assert _FLOAT.dot is _FLOAT.matvec is operator.mul
         cfg = disc_cfg() if mode == "disc" else cont_cfg()
-        by_mul = robust_term(cfg, _FLOAT.self_dot)
-        by_dot = robust_term(cfg, lambda a, b: 0.0 + a * b)
+        by_float = robust_term(cfg, _FLOAT.dot)
+        by_array = robust_term(cfg, _ARRAY.dot)
         rng = np.random.default_rng(22)
         zs = [s * x for x in (0.0, 5e-324, 1e-160, 1.5e154, 1e200, math.inf)
               for s in (1.0, -1.0)] + [math.nan]
@@ -788,7 +818,9 @@ class TestFloatShape:
                           int(rng.integers(-1074, 1025))) for _ in range(300)]
         for z in zs:
             for rho in (0.0, 0.5, 3.0, float(rng.uniform(0.0, 10.0))):
-                assert same_bits(by_mul(z, rho), by_dot(z, rho)), (z, rho)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = by_array(np.array([z]), rho).item()
+                assert same_bits(by_float(z, rho), want), (z, rho)
 
     def test_unwrap(self):
         # the model callables may return a float, a numpy scalar or a

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fblf_ilc.controller import ControllerConfig, Mode
 from fblf_ilc.engine import _FLOAT, run
 from fblf_ilc.plant import (ErrorModelII, UncertaintySpec, check_certificate,
                             check_uncertainty_bound, delta_w,
                             lyapunov_residual, scalar_model_i,
-                            scalar_model_ii, theta_path)
+                            scalar_model_ii, theta_path, value_bound)
 
 PI = math.pi
 
@@ -166,3 +168,39 @@ class TestModel2Identity:
 
     def test_a_stable(self, m2):
         assert np.all(np.real(np.linalg.eigvals(m2.A)) < 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(b_e=st.floats(0.02, 3.0), gamma=st.floats(0.5, 4.0),
+           eps=st.floats(1e-3, 0.1), N=st.integers(2, 50),
+           mode=st.sampled_from([Mode.DISC, Mode.CONT]))
+    def test_model_ii_is_model_i_in_other_units(self, m1, m2, b_e, gamma, eps,
+                                                N, mode):
+        # Theorem 2: scalar-II at (b_e, gamma, eps) runs scalar-I at
+        # (b_e^2, gamma/2, 2 eps) bit for bit.  e'Pe = e*(e/2) is model I's
+        # V = (e*e)/2, B'Pe = e/2 is half its LgV = e, so z is halved and
+        # gamma*z, the robust term and A e + B x against f + g x keep
+        # their bits; with half the barrier and gamma doubled in the
+        # integral, L_II = L_I/2.  Each halving is exact only above the
+        # subnormals, so a run that reaches them is excluded.
+        def cfg(bound, gamma, eps):
+            return ControllerConfig(mode=mode, bound=bound, gamma=gamma,
+                                    theta_bar=1.0,
+                                    eps=eps if mode is Mode.CONT else None)
+
+        one = run(m1, cfg(value_bound(m2, b_e), gamma / 2, 2 * eps), K=3, N=N,
+                  theorem=2)
+        two = run(m2, cfg(b_e, gamma, eps), K=3, N=N, theorem=2)
+        rows = [getattr(tr, f) for r in (one, two) for tr in r.traces
+                for f in ("e", "u", "V", "theta_hat", "L")]
+        assume(not any(np.any((0 < np.abs(a)) & (np.abs(a) < 2.0 ** -1022))
+                       for a in rows))
+
+        def bits(a):
+            return np.asarray(a).tobytes()
+
+        for a, b in zip(one.traces, two.traces):
+            assert a.breach_node == b.breach_node
+            for f in ("e", "u", "V", "theta_hat"):
+                assert bits(getattr(a, f)) == bits(getattr(b, f)), f
+            assert bits(a.L / 2) == bits(b.L)
+        assert bits(one.memory.theta_star) == bits(two.memory.theta_star)
