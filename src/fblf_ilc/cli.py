@@ -37,6 +37,14 @@ _NUMERICAL = (engine.NonFiniteStateError, OverflowError, FloatingPointError,
               ZeroDivisionError, BarrierDomainError)
 
 
+def _fail(code: int, message: str) -> int:
+    """Print `error: <message>` as one stderr line, escaping each unprintable
+    character (a newline, an ESC, a NUL) as repr does; return code."""
+    print("error: " + "".join(c if c.isprintable() else repr(c)[1:-1]
+                              for c in message), file=sys.stderr)
+    return code
+
+
 def _raising(fn, *args):
     """fn(*args) with numpy's overflow, invalid value and division by
     zero raised as FloatingPointError, never printed as a warning."""
@@ -157,11 +165,6 @@ def _out_dir_blocked(out_dir: Path) -> str | None:
     return None
 
 
-def _printable(text: str) -> str:
-    """text with each unprintable character (a NUL byte, say) escaped."""
-    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
-
-
 def _run_one(cfg: RunConfig) -> engine.RunResult:
     factory = BUILTIN_MODELS[cfg.model]
     model = factory(cfg.T) if cfg.T is not None else factory()
@@ -191,64 +194,48 @@ def cmd_simulate(args) -> int:
         try:
             cfg = parse_config(cfg_path)
         except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(1, str(exc))
         out_dir = Path(args.out or cfg.out or Path(cfg_path).with_suffix("").name)
         blocked = _out_dir_blocked(out_dir)
         if blocked is not None:
-            print(f"error: cannot write to {_printable(str(out_dir))}: "
-                  f"{blocked}", file=sys.stderr)
-            return 1
+            return _fail(1, f"cannot write to {out_dir}: {blocked}")
         key = out_dir.resolve()
         if key in claimed:
-            print(f"error: {claimed[key]} and {cfg_path} both write to "
-                  f"{out_dir}", file=sys.stderr)
-            return 1
+            return _fail(1, f"{claimed[key]} and {cfg_path} both write to "
+                            f"{out_dir}")
         claimed[key] = cfg_path
         runs.append((cfg_path, cfg, out_dir))
     codes = []
     for cfg_path, cfg, out_dir in runs:
+        # a run does no I/O: an OSError comes from writing its outputs
         try:
             result = _raising(_run_one, cfg)
-        except _NUMERICAL as exc:
-            print(f"error: {cfg_path}: numerical failure: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            codes.append(4)
-            continue
-        except MemoryError as exc:
-            print(f"error: {cfg_path}: out of memory: {exc}", file=sys.stderr)
-            codes.append(1)
-            continue
-        try:
             _write_outputs(result, out_dir, args.svg)
+            codes.append(2 if result.any_breach else 0)
+        except _NUMERICAL as exc:
+            codes.append(_fail(4, f"{cfg_path}: numerical failure: "
+                                  f"{type(exc).__name__}: {exc}"))
+        except MemoryError as exc:
+            codes.append(_fail(1, f"{cfg_path}: out of memory: {exc}"))
         except OSError as exc:
-            print(f"error: {cfg_path}: cannot write output: {exc}",
-                  file=sys.stderr)
-            codes.append(1)
-            continue
-        codes.append(2 if result.any_breach else 0)
+            codes.append(_fail(1, f"{cfg_path}: cannot write output: {exc}"))
     return max(codes)
 
 
 def cmd_compare_blf(args) -> int:
     for b in args.bounds:
         if not (b > 0 and math.isfinite(b)):
-            print(f"error: bounds must be positive and finite, got {b}",
-                  file=sys.stderr)
-            return 1
+            return _fail(1, f"bounds must be positive and finite, got {b}")
     try:
         report = _raising(analysis.blf_report, args.bounds)
     except _NUMERICAL as exc:
-        print(f"error: numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 4
+        return _fail(4, f"numerical failure: {type(exc).__name__}: {exc}")
     out_dir = Path(args.out or ".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report.to_csv(out_dir / "blf_report.csv")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"cannot write output: {exc}")
     print(report.to_text(), end="")
     return 0 if report.all_hold else 3
 
@@ -269,8 +256,7 @@ def cmd_check_lemmas(args) -> int:
     path = Path(args.csv)
     try:
         if not path.is_file():
-            print(f"error: file not found: {path}", file=sys.stderr)
-            return 1
+            return _fail(1, f"file not found: {path}")
         # utf-8-sig: a byte-order mark, as Excel writes, is not part of "r"
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
@@ -287,11 +273,9 @@ def cmd_check_lemmas(args) -> int:
             _column(rows, "r"), _column(rows, "s"),
             _column(rows, "d") if "d" in columns else None)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: malformed CSV: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"cannot read {path}: {exc}")
+    except (csv.Error, ValueError, KeyError, TypeError) as exc:
+        return _fail(1, f"malformed CSV: {exc}")
     if seq.d is None:
         verdict = analysis.lemma1_check(seq)
         which = "lemma 1 (no residual)"

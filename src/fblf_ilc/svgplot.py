@@ -29,12 +29,19 @@ def _ticks(lo: float, hi: float):
     return [v for v in ticks if v <= hi + 1e-12 * span]
 
 
+def _escape(text: str) -> str:
+    """text as XML character data.  Written out: xml.sax.saxutils, which
+    does the same, imports urllib.request: about 20 ms of import time."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
               ylog=False, hline=None):
     """Write an SVG line chart of the series ys over x, labelled label.
 
     Non-finite and (for log scale) non-positive points are dropped.
     """
+    title, label, xlabel, ylabel = map(_escape, (title, label, xlabel, ylabel))
     x = [float(v) for v in x]
     pts = [(xi, float(yi)) for xi, yi in zip(x, ys)
            if math.isfinite(float(yi)) and (not ylog or float(yi) > 0)]

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import re
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fblf_ilc import cli, engine, plant, svgplot
 from fblf_ilc.cli import main, parse_config, ConfigError
@@ -611,6 +616,51 @@ class TestSimulate:
             assert err == ""
             assert (out / "convergence.svg").is_file()
 
+    # every error line shows each unprintable character escaped, so a
+    # path with a newline or an ESC in it prints as one line and moves
+    # no terminal state
+    def test_shared_output_dir_with_newline_is_one_line(self, tmp_path,
+                                                        capsys):
+        p1 = write_config(tmp_path, GOOD_CONFIG, "g.cfg")
+        p2 = write_config(tmp_path, GOOD_CONFIG, "h.cfg")
+        out = tmp_path / "x\ny"
+        assert main(["simulate", str(p1), str(p2), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p1} and {p2} both write to {tmp_path}/x\\ny\n")
+
+    def test_missing_config_with_escape_is_escaped(self, tmp_path, capsys):
+        path = tmp_path / "no\x1b[31mpe.cfg"
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file not found: {tmp_path}/no\\x1b[31mpe.cfg\n")
+
+    def test_config_name_with_newline_is_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, "model = scalar-I\nbogus = 1\n",
+                            "a\nb.cfg")
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}/a\\nb.cfg:2: unknown field 'bogus'\n")
+
+    def test_out_of_memory_while_writing_exits_1_and_runs_the_next(
+            self, tmp_path, capsys, monkeypatch):
+        write_trace_csv = engine.write_trace_csv
+
+        def refuse_o1(result, path):
+            if path.parent.name == "o1":
+                raise MemoryError("trace table")
+            write_trace_csv(result, path)
+
+        monkeypatch.setattr(engine, "write_trace_csv", refuse_o1)
+        first = write_config(tmp_path,
+                             GOOD_CONFIG + f"out = {tmp_path / 'o1'}\n",
+                             "first.cfg")
+        good = write_config(tmp_path, GOOD_CONFIG + f"out = {tmp_path / 'o2'}\n",
+                            "good.cfg")
+        assert main(["simulate", str(first), str(good)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {first}: out of memory: trace table\n"
+        assert (tmp_path / "o2" / "summary.csv").is_file()
+
 
 class TestCompareBlf:
     def test_exit_zero_at_one(self, tmp_path, capsys):
@@ -772,6 +822,24 @@ class TestCheckLemmas:
         assert main(["check-lemmas", str(csv_path)]) == 3
         assert "VIOLATED (first violation at k=1)" in capsys.readouterr().out
 
+    def test_missing_file_with_escape_is_escaped(self, tmp_path, capsys):
+        path = tmp_path / "no\x1b[31mpe.csv"
+        assert main(["check-lemmas", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: file not found: {tmp_path}/no\\x1b[31mpe.csv\n")
+
+    # csv's field limit is 131,072 characters; Python 3.10's csv also
+    # raises csv.Error on a NUL byte, where 3.11 passes it to float
+    @pytest.mark.parametrize("cell", ["1" * 131_073, "1\0"],
+                             ids=["field-limit", "nul"])
+    def test_csv_error_exit_1(self, tmp_path, capsys, cell):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text(f"r,s\n1.0,0.5\n{cell},0.4\n")
+        assert main(["check-lemmas", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV: ")
+        assert err.count("\n") == 1 and err[:-1].isprintable()
+
 
 class TestUsage:
     # argparse exits 2 on a usage error, the code of a constraint breach
@@ -785,3 +853,154 @@ class TestUsage:
     def test_help_exit_0(self, capsys, argv):
         assert main(argv) == 0
         assert "usage: fblf-ilc" in capsys.readouterr().out
+
+
+# The CLI contract, as properties over drawn inputs: no exception escapes
+# main, the exit code is a documented one, and stderr holds at most one
+# line, every character of it printable.  Hypothesis runs many examples
+# in one test call and rejects function-scoped fixtures such as tmp_path
+# and capsys, so each example makes its own temporary directory and
+# captures its own output.
+
+def run_main(argv):
+    """main(argv)'s exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_at_most_one_printable_line(err):
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")
+                         and err[:-1].isprintable()), repr(err)
+
+
+# a file name with a newline and an ESC among its characters
+NAME = st.text("ab\n\x1b -", min_size=1, max_size=6)
+FLOAT = st.one_of(
+    st.floats(0.01, 10.0).map(repr),
+    st.sampled_from(["0", "-0.0", "1e308", "5e-324", "1e-300", "inf", "-inf",
+                     "nan", "1.7976931348623157e308"]),
+    st.floats().map(repr))
+# sizes run in milliseconds or fail before anything is allocated: K <= 0
+# fails in the parser and N >= 2^58 in TimeGrid; a mid-size N is never
+# drawn
+SIZE_K = st.one_of(st.integers(1, 3), st.integers(1, 3),
+                   st.sampled_from([0, -1, -2**63]))
+SIZE_N = st.one_of(st.integers(2, 50), st.integers(2, 50),
+                   st.sampled_from([-1, 0, 1, 2**58, 2**59 - 1, 2**62, 2**64,
+                                    10**30]))
+KNOWN = {
+    "model": st.sampled_from(["scalar-I", "scalar-II", "scalar-III", ""]),
+    "theorem": st.sampled_from(["1", "2", "3", "0", "-1", str(2**63), "1_0"]),
+    "mode": st.sampled_from(["disc", "cont", "disc", "cont", "DISC", ""]),
+    **{key: FLOAT for key in ("eps", "gamma", "theta_bar", "T", "b_V",
+                              "b_e")},
+    "K": SIZE_K.map(str),
+    "N": SIZE_N.map(str),
+}
+
+
+def key_lines(values):
+    return [f"{key} = {value}".encode() for key, value in values.items()]
+
+
+# a key set at most once, and then lines of any kind: a key set again,
+# an unknown key or junk
+FIELDS = st.fixed_dictionaries({}, optional={
+    key: KNOWN[key] for key in ("theorem", "mode", "eps", "gamma",
+                                "theta_bar", "T")}).map(key_lines)
+KEY_LINE = st.one_of(*(value.map(lambda v, k=key: key_lines({k: v})[0])
+                       for key, value in KNOWN.items()))
+UNKNOWN_LINE = st.sampled_from([b"bogus = 1", b"svg = true", b"= 1",
+                                b"B_V = 0.5", b"allow_disc_thm2 = 1"])
+# junk holds no digit, so it cannot set K or N to a size
+JUNK = [b"=", b"#", b" ", b"\t", b"\0", b"\x1b", b"\xff", b"\xc2\x85",
+        b"\xe2\x80\xa8", b"\xef\xbb\xbf", b"\x0c", b"a", b"-", b".", b"_",
+        b"e", b"inf", b"nan", b"model", b"b_V", b"K", b"N"]
+JUNK_LINE = st.lists(st.sampled_from(JUNK), max_size=6).map(b"".join)
+EXTRA = st.lists(st.one_of(KEY_LINE, UNKNOWN_LINE, JUNK_LINE), max_size=1)
+# a model and its bound, so that some drawn configs run
+HEAD = st.sampled_from([[], *[[b"model = scalar-I", b"b_V = 0.5"],
+                             [b"model = scalar-II", b"b_e = 1"]] * 2])
+EOL = st.sampled_from([b"\n", b"\r", b"\r\n"])
+
+CELL = st.one_of(
+    *[st.floats(0.0, 10.0).map(repr)] * 2,
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "x", " 1", "1_0",
+                     '"1"', '"', "\0", "\x1b", "\ufeff"]))
+HEADER = st.one_of(st.just(["r", "s"]), st.just(["r", "s", "d"]),
+                   st.lists(st.sampled_from(["r", "s", "d", "x", "", "R"]),
+                            max_size=4))
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows, most of them as wide as the header."""
+    header = draw(HEADER)
+    row = st.one_of(*[st.lists(CELL, min_size=len(header),
+                               max_size=len(header))] * 3,
+                    st.lists(CELL, max_size=4))
+    return [header, *draw(st.lists(row, max_size=6))]
+
+
+BOUND = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "5e-324",
+                     "1e-310", "1e308", "1e103", "1e13", "0.5", "1"]),
+    st.floats().map(repr))
+
+
+class TestContract:
+    @settings(max_examples=120, deadline=None)
+    @given(name=NAME, head=HEAD, fields=FIELDS, extra=EXTRA, K=SIZE_K,
+           N=SIZE_N, eol=EOL, out=st.text("ab\n\x1b\0-", max_size=4),
+           flag=st.booleans())
+    @example(name="a\nb", head=[b"model = scalar-I", b"b_V = 0.5"],
+             fields=[], extra=[b"bogus = 1"], K=1, N=10, eol=b"\n", out="",
+             flag=False)
+    def test_simulate(self, name, head, fields, extra, K, N, eol, out, flag):
+        # a newline in out can only come in through --out
+        flag = flag or "\n" in out
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / f"o{out}"
+            body = [*head, *fields, *extra, *key_lines({"K": K, "N": N})]
+            if not flag:
+                body.append(f"out = {out_dir}".encode())
+            path = Path(tmp) / f"{name}.cfg"
+            path.write_bytes(eol.join(body) + eol)
+            code, err = run_main(["simulate", str(path)]
+                                 + (["--out", str(out_dir)] if flag else []))
+            assert code in (0, 1, 2, 4)
+            assert_at_most_one_printable_line(err)
+            if code in (0, 2):
+                assert (out_dir / "trace.csv").is_file()
+                assert (out_dir / "summary.csv").is_file()
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=NAME, table=csv_tables(), eol=EOL,
+           exists=st.sampled_from([True, True, True, False]))
+    @example(name="seq", table=[["r", "s"], ["1.0", "0.5"],
+                                ["1" * 131_073, "0.4"]], eol=b"\n",
+             exists=True)
+    def test_check_lemmas(self, name, table, eol, exists):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.csv"
+            if exists:
+                path.write_bytes(eol.join(",".join(cells).encode()
+                                          for cells in table) + eol)
+            code, err = run_main(["check-lemmas", str(path)])
+        assert code in (0, 1, 3)
+        assert_at_most_one_printable_line(err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounds=st.lists(BOUND, min_size=1, max_size=2))
+    def test_compare_blf(self, bounds):
+        with tempfile.TemporaryDirectory() as tmp:
+            # "--": a bound such as -inf is not an option
+            code, err = run_main(["compare-blf", "--out", tmp, "--", *bounds])
+            assert code in (0, 1, 3, 4)
+            assert_at_most_one_printable_line(err)
+            if code in (0, 3):
+                assert (Path(tmp) / "blf_report.csv").is_file()

@@ -97,3 +97,13 @@ def test_flat_series_past_2_53_gets_a_range(tmp_path, x, y, axis):
     # within the widening, to a label's six significant digits
     assert all(abs(v - at) <= 1e-5 * abs(at) for v in labels)
     assert len(list(ET.parse(path).getroot().iter(SVG + "polyline"))) == 1
+
+
+def test_markup_characters_in_text_are_escaped(tmp_path):
+    # a raw "<" or "&" in a text node is not well-formed XML
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [0, 1, 2], "e & u", [0.1, 0.2, 0.3],
+                      title="sup V < b", xlabel="k > 0", ylabel="a & <b>")
+    texts = [el.text for el in ET.parse(path).getroot().iter(SVG + "text")]
+    for text in ("sup V < b", "e & u", "k > 0", "a & <b>"):
+        assert text in texts
