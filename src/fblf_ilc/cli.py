@@ -304,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(fn=cmd_simulate)
 
     cmp_ = sub.add_parser("compare-blf", help="barrier ordering/IBP report")
-    cmp_.add_argument("bounds", nargs="+", type=float)
+    # "*": _parse requires a bound once it has added those argparse took
+    # for options
+    cmp_.add_argument("bounds", nargs="*", type=float)
     cmp_.add_argument("--out", help="output directory")
     cmp_.set_defaults(fn=cmd_compare_blf)
 
@@ -314,9 +316,38 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _reads_as_float(s: str) -> bool:
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv as build_parser parses it, where compare-blf's bounds also
+    take each left-over string that starts with '-' and that float reads.
+    argparse reads only -<digits> and -<digits>.<digits> as negative
+    numbers, so it leaves a bound such as -1e-3, -5e-324 or -inf over as
+    an unknown option; cmd_compare_blf then rejects it in one line."""
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "compare-blf":
+        negative = [s for s in extra
+                    if s.startswith("-") and _reads_as_float(s)]
+        args.bounds += map(float, negative)
+        extra = [s for s in extra if s not in negative]
+        if not args.bounds:
+            parser.error("compare-blf: the following arguments are required: "
+                         "bounds")
+    if extra:  # as parse_args words it
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error
         return 1 if exc.code == 2 else exc.code
     return args.fn(args)

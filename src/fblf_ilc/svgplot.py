@@ -41,13 +41,11 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
 
     Non-finite and (for log scale) non-positive points are dropped.
     """
-    title, label, xlabel, ylabel = map(_escape, (title, label, xlabel, ylabel))
     x = [float(v) for v in x]
     pts = [(xi, float(yi)) for xi, yi in zip(x, ys)
            if math.isfinite(float(yi)) and (not ylog or float(yi) > 0)]
-    all_y = [yi for _, yi in pts]
-    if hline is not None and (not ylog or hline > 0):
-        all_y.append(float(hline))
+    show_hline = hline is not None and (not ylog or hline > 0)
+    all_y = [yi for _, yi in pts] + ([float(hline)] if show_hline else [])
     if not all_y:  # a range log10 can take
         all_y = [1.0, 10.0] if ylog else [0.0, 1.0]
     tf = math.log10 if ylog else (lambda v: v)
@@ -66,49 +64,46 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
     def X(v):
         return _ML + (v - xlo) / (xhi - xlo) * pw
 
-    def Y(v):
-        return _MT + ph - (tf(v) - ylo) / (yhi - ylo) * ph
+    def Y(v):  # v on the plotted scale: tf of a data value
+        return _MT + ph - (v - ylo) / (yhi - ylo) * ph
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
-        f'fill="none" stroke="#333"/>',
-    ]
+    def text(x, y, anchor, size, body, more=""):  # body escaped here
+        parts.append(f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+                     f'font-family="sans-serif" font-size="{size}"{more}>'
+                     f'{_escape(body)}</text>')
+
+    def line(x1, y1, x2, y2, style='stroke="#333"'):
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                     f'{style}/>')
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+             f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+             f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    text(_W / 2, 24, "middle", 15, title)
+    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
+                 f'fill="none" stroke="#333"/>')
     for tv in _ticks(xlo, xhi):
-        parts.append(f'<line x1="{X(tv):.1f}" y1="{_MT + ph}" x2="{X(tv):.1f}" '
-                     f'y2="{_MT + ph + 5}" stroke="#333"/>')
-        parts.append(f'<text x="{X(tv):.1f}" y="{_MT + ph + 18}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{tv:g}</text>')
+        xv = f"{X(tv):.1f}"
+        line(xv, _MT + ph, xv, _MT + ph + 5)
+        text(xv, _MT + ph + 18, "middle", 11, f"{tv:g}")
     for tv in _ticks(ylo, yhi):
-        yv = _MT + ph - (tv - ylo) / (yhi - ylo) * ph
-        tick = f"{10 ** tv if ylog else tv:g}"
-        parts.append(f'<line x1="{_ML - 5}" y1="{yv:.1f}" x2="{_ML}" '
-                     f'y2="{yv:.1f}" stroke="#333"/>')
-        parts.append(f'<text x="{_ML - 8}" y="{yv + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{tick}</text>')
+        yv = Y(tv)
+        line(_ML - 5, f"{yv:.1f}", _ML, f"{yv:.1f}")
+        text(_ML - 8, f"{yv + 4:.1f}", "end", 11,
+             f"{10 ** tv if ylog else tv:g}")
     if xlabel:
-        parts.append(f'<text x="{_ML + pw / 2}" y="{_H - 10}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12">{xlabel}</text>')
+        text(_ML + pw / 2, _H - 10, "middle", 12, xlabel)
     if ylabel:
-        parts.append(f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 18 {_MT + ph / 2})">{ylabel}</text>')
-    if hline is not None and (not ylog or hline > 0):
-        parts.append(f'<line x1="{_ML}" y1="{Y(hline):.1f}" x2="{_ML + pw}" '
-                     f'y2="{Y(hline):.1f}" stroke="#888" stroke-dasharray="6 4"/>')
+        text(18, _MT + ph / 2, "middle", 12, ylabel,
+             f' transform="rotate(-90 18 {_MT + ph / 2})"')
+    if show_hline:
+        yv = f"{Y(tf(hline)):.1f}"
+        line(_ML, yv, _ML + pw, yv, 'stroke="#888" stroke-dasharray="6 4"')
     if pts:
-        d = " ".join(f"{X(xi):.2f},{Y(yi):.2f}" for xi, yi in pts)
+        d = " ".join(f"{X(xi):.2f},{Y(tf(yi)):.2f}" for xi, yi in pts)
         parts.append(f'<polyline fill="none" stroke="{_COLOR}" '
                      f'stroke-width="1.5" points="{d}"/>')
-        parts.append(f'<text x="{_ML + pw - 6}" y="{_MT + 16}" '
-                     f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="11" fill="{_COLOR}">{label}</text>')
+        text(_ML + pw - 6, _MT + 16, "end", 11, label, f' fill="{_COLOR}"')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))

@@ -671,6 +671,20 @@ class TestCompareBlf:
     def test_rejects_nonpositive(self, tmp_path, capsys):
         assert main(["compare-blf", "-1.0", "--out", str(tmp_path)]) == 1
 
+    # argparse reads only -<digits> and -<digits>.<digits> as negative
+    # numbers and took these for unknown options, a two-line usage error
+    @pytest.mark.parametrize("bound", ["-1e-3", "-inf", "-5e-324", "-1E3"])
+    @pytest.mark.parametrize("layout", ["alone", "after 0.5", "--out first"])
+    def test_rejects_negative_bound_in_one_line(self, tmp_path, capsys,
+                                                bound, layout):
+        out = ["--out", str(tmp_path)]
+        argv = {"alone": [bound, *out], "after 0.5": ["0.5", bound, *out],
+                "--out first": [*out, bound]}[layout]
+        assert main(["compare-blf", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bounds must be positive and finite, got {float(bound)}\n")
+        assert not (tmp_path / "blf_report.csv").exists()
+
     def test_rejects_infinite(self, tmp_path, capsys):
         assert main(["compare-blf", "inf", "--out", str(tmp_path)]) == 1
         assert "positive and finite" in capsys.readouterr().err
@@ -844,7 +858,11 @@ class TestCheckLemmas:
 class TestUsage:
     # argparse exits 2 on a usage error, the code of a constraint breach
     @pytest.mark.parametrize("argv", [["compare-blf", "abc"], ["simulate"],
-                                      [], ["bogus"]])
+                                      [], ["bogus"], ["compare-blf"],
+                                      ["compare-blf", "--out", "d"],
+                                      ["compare-blf", "0.5", "--out", "d",
+                                       "2"],
+                                      ["compare-blf", "0.5", "--bogus"]])
     def test_usage_error_exit_1(self, capsys, argv):
         assert main(argv) == 1
         assert "usage: fblf-ilc" in capsys.readouterr().err
@@ -995,11 +1013,16 @@ class TestContract:
         assert_at_most_one_printable_line(err)
 
     @settings(max_examples=60, deadline=None)
-    @given(bounds=st.lists(BOUND, min_size=1, max_size=2))
-    def test_compare_blf(self, bounds):
+    @given(bounds=st.lists(BOUND, min_size=1, max_size=2),
+           form=st.sampled_from(["--out first", "--out last", "--"]))
+    def test_compare_blf(self, bounds, form):
         with tempfile.TemporaryDirectory() as tmp:
-            # "--": a bound such as -inf is not an option
-            code, err = run_main(["compare-blf", "--out", tmp, "--", *bounds])
+            # with or without "--", a bound such as -inf is not an option
+            out = ["--out", tmp]
+            argv = {"--out first": [*out, *bounds],
+                    "--out last": [*bounds, *out],
+                    "--": [*out, "--", *bounds]}[form]
+            code, err = run_main(["compare-blf", *argv])
             assert code in (0, 1, 3, 4)
             assert_at_most_one_printable_line(err)
             if code in (0, 3):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from fblf_ilc import svgplot
+from fblf_ilc.cli import main
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -107,3 +109,64 @@ def test_markup_characters_in_text_are_escaped(tmp_path):
     texts = [el.text for el in ET.parse(path).getroot().iter(SVG + "text")]
     for text in ("sup V < b", "e & u", "k > 0", "a & <b>"):
         assert text in texts
+
+
+# Golden SHA-256 digests of whole SVG files, recorded before line_plot
+# wrote each element kind through one writer, so they pin its bytes:
+# attribute order, number formats and escaping.  The calls take log and
+# linear scales, a drawn and a hidden hline, a flat series, dropped
+# points, markup in labels, an empty series and a single point.
+GOLDEN_CALLS = {
+    "log": (dict(x=[0, 1, 2, 3], label="sup|e_k|",
+                 ys=[1.0, 0.1, 0.01, 0.002], title="convergence",
+                 xlabel="k", ylabel="sup|e_k|", ylog=True),
+        "f20390302c10c46c9cf3a96addf81266e7cd4f3eaf2cdad08a93c950be2bd0f5"),
+    "linear": (dict(x=[0, 1, 2], label="y", ys=[-0.7, 0.3, 0.1]),
+        "b49187a70fdb1a00f90d1290983c8bdcb575d14829e898552725bbd71e61afd3"),
+    "hline": (dict(x=[0, 1, 2], label="sup V_k", ys=[0.1, 0.2, 0.3],
+                   ylabel="V", hline=0.5),
+        "f19c6c4f6aec44e0a50ce58da7ab637f0eeb68c3fd176fbcfe3e2ec6caeb8f72"),
+    "flat-1e15": (dict(x=[0, 1], label="y", ys=[1e15, 1e15]),
+        "1152eb0b0a57a50db3d769758757aae8bd26fd75cf7b9b693755235b4c522f25"),
+    "nan": (dict(x=[0, 1, 2, 3], label="y", ys=[0.5, math.nan, -1.0, 2.0],
+                 ylog=True, hline=4.0),
+        "fe2b01907780cb8b824abe365c3d62981cf183416c6828112d12163769beb41a"),
+    "markup": (dict(x=[0, 1, 2], label="e & u", ys=[0.1, 0.2, 0.3],
+                    title="sup V < b", xlabel="k > 0",
+                    ylabel="a & <b>"),
+        "bbd9c7bfeddc2e77048ca4bb3f196662d6c4129f87273629da770c8cb4cd98b8"),
+    "log-hline-hidden": (dict(x=[0, 1, 2], label="y", ys=[3.0, 0.3, 0.03],
+                              ylog=True, hline=0.0),
+        "f9623ccb12c166e6b2908caabc616b1d98a15c51937ac9de9ce8ad7003d84ddc"),
+    "empty": (dict(x=[], label="y", ys=[], title="nothing"),
+        "643d5b7e7d52610664e04a23f0b6e8e9e87923ca82d46de4fdf688b136585a04"),
+    "one-point": (dict(x=[3], label="y", ys=[2.5], hline=1.0),
+        "3d977d606c35334ba634047c322ab75b20f9b598937717fd7848110b7e87b06d"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CALLS)
+def test_golden_bytes(tmp_path, name):
+    kwargs, digest = GOLDEN_CALLS[name]
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, **kwargs)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# the two figures simulate --svg draws for a small criterion-4 config
+SIMULATE_GOLDEN = {
+    "convergence.svg":
+        "2ede61225a03c59c0aca36bbd5aa662fbd051a60ba65c730a7c8589409478104",
+    "constraint.svg":
+        "c4107f5c175ab6c247dca2518f26099afaa109d120da351f8ce348b082443c1b",
+}
+
+
+def test_golden_simulate_figures(tmp_path):
+    cfg = tmp_path / "criterion-4.cfg"
+    cfg.write_text("model = scalar-I\ntheorem = 1\nmode = disc\nb_V = 0.5\n"
+                   "K = 3\nN = 100\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out), "--svg"]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SIMULATE_GOLDEN} == SIMULATE_GOLDEN
