@@ -117,21 +117,14 @@ def _apply(idx, kind, V, b):
     _check_bound(b)
     form = FORMS[kind][idx]
     Va = np.asarray(V, dtype=float)
-    if Va.ndim == 0:
-        # numpy's scalar ** rounds like Python's pow, its array loops do
-        # not: a 0-d input stays 0-d so a float keeps its d1 bits, as
-        # the d1 forms still square b - V with **
-        return float(form(_check_domain(Va, b), b))
-    src = Va.reshape(-1)
-    head = form(_check_domain(src[:_BLOCK], b), b)
-    # allocated after the first block has run: allocated before it, the
-    # output left the block's freed temporaries on top of the heap, where
-    # malloc trims them, and a one-block call of 20,000 samples faulted
-    # in 40-90 % more pages than a whole-array evaluation
+    if Va.size <= _BLOCK:
+        # run whole; numpy's scalar ** rounds like Python's pow, its array
+        # loops do not, so a 0-d input stays 0-d and a float keeps its bits
+        out = form(_check_domain(Va, b), b)
+        return out if Va.shape else float(out)
     out = np.empty(Va.shape)
-    dst = out.reshape(-1)
-    dst[:_BLOCK] = head
-    for i in range(_BLOCK, src.size, _BLOCK):
+    src, dst = Va.reshape(-1), out.reshape(-1)
+    for i in range(0, src.size, _BLOCK):
         dst[i:i + _BLOCK] = form(_check_domain(src[i:i + _BLOCK], b), b)
     return out
 

@@ -87,7 +87,8 @@ def parse_config(path) -> RunConfig:
     """Parse a flat key = value config file."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"config path is not a file: {path}" if path.exists()
+                          else f"config file not found: {path}")
     models = {name: factory() for name, factory in BUILTIN_MODELS.items()}
     bound_keys = [m.bound_key for m in models.values()]
     values = {k: default for k, (_, default) in _FIELDS.items()
@@ -256,7 +257,8 @@ def cmd_check_lemmas(args) -> int:
     path = Path(args.csv)
     try:
         if not path.is_file():
-            return _fail(1, f"file not found: {path}")
+            return _fail(1, f"path is not a file: {path}" if path.exists()
+                         else f"file not found: {path}")
         # utf-8-sig: a byte-order mark, as Excel writes, is not part of "r"
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)

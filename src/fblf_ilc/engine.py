@@ -156,6 +156,9 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     grid = memory.grid
     if grid.T != model.T:  # run builds its grid from model.T
         raise ValueError("memory grid horizon does not match model horizon")
+    if memory.theta_star.shape[1] != model.m:
+        raise ValueError(f"memory width {memory.theta_star.shape[1]} does "
+                         f"not match model input width {model.m}")
     times = grid.times
     if xd_table is None:
         xd_table = plant._desired(model, times)

@@ -307,6 +307,39 @@ class TestBlocked:
                 want = float(FORMS[kind][q](np.asarray(V), 2.0))
                 assert bits(fn(kind, V, 2.0)) == bits(want)
 
+    # d1 samples whose 0-d result is one or two ulps from the result of
+    # the same sample in a one-element array: a float run as an array
+    # fails here
+    @pytest.mark.parametrize("kind, V, b", [
+        (BarrierKind.FI, 1.2505708236082163, 2.0),
+        (BarrierKind.FII, 1.4657909965747904, 2.0),
+        (BarrierKind.FV, 1.8818683423153915, 2.0),
+        (BarrierKind.FIII, 0.4815023341561636, 0.5),
+        (BarrierKind.FIV, 0.3107425153490151, 0.5),
+        (BarrierKind.FII, 10.724567410758358, 17.3)])
+    def test_scalar_d1_keeps_its_0d_bits(self, kind, V, b):
+        form = FORMS[kind][1]
+        want = float(form(np.asarray(V), b))
+        assert bits(want) != bits(form(np.array([V]), b)[0])
+        for x in (V, np.float64(V), np.array(V)):
+            assert bits(blf_d1(kind, x, b)) == bits(want)
+
+    @pytest.mark.parametrize("n, blocks", [(BLOCK - 6, 1),
+                                           (2 * BLOCK + 10, 3)])
+    def test_strided_fortran_and_read_only(self, n, blocks):
+        V = self.grid(2 * n - 1, 2.0)
+        read_only = V[:n].copy()
+        read_only.flags.writeable = False
+        for x in (V[::2], np.asfortranarray(V[:n].reshape(2, -1)),
+                  read_only):
+            assert x.size == n and -(-n // BLOCK) == blocks
+            for kind in ALL_KINDS:
+                for q, fn in enumerate(ORDERS):
+                    got = fn(kind, x, 2.0)
+                    assert got.shape == x.shape
+                    assert np.array_equal(bits(got),
+                                          bits(FORMS[kind][q](x, 2.0)))
+
 
 class TestFloatArrayAgreement:
     # monitor_L evaluates the monitor's barrier on arrays, check_delta_L

@@ -344,6 +344,11 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_directory_config_is_not_a_file(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config path is not a file: {tmp_path}\n")
+
     def test_config_not_utf8_exits_1(self, tmp_path, capsys):
         # a Latin-1 e-acute in a comment
         path = tmp_path / "latin1.cfg"
@@ -793,6 +798,11 @@ class TestCheckLemmas:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["check-lemmas", str(tmp_path / "absent.csv")]) == 1
+
+    def test_directory_is_not_a_file(self, tmp_path, capsys):
+        assert main(["check-lemmas", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: path is not a file: {tmp_path}\n")
 
     def test_unreadable_file_exit_1(self, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "seq.csv"

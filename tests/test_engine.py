@@ -246,6 +246,22 @@ class TestRunIteration:
         with pytest.raises(ValueError, match="horizon"):
             run_iteration(model, disc_cfg(), memory, scheme(model, 1))
 
+    # both loops: the float loop of model I with a 2-wide memory, and the
+    # array loop of a 2-input model with a 1-wide one; the memory is left
+    # as it was
+    @pytest.mark.parametrize("factory, m, model_m", [
+        pytest.param(scalar_model_i, 2, 1, id="float-loop"),
+        # a lambda, as two_channel_model is defined further down
+        pytest.param(lambda: two_channel_model(), 1, 2, id="array-loop")])
+    def test_width_mismatch_rejected(self, factory, m, model_m):
+        model = factory()
+        memory = ParamMemory(TimeGrid(T=model.T, N=10), m=m)
+        with pytest.raises(ValueError, match=f"^memory width {m} does not "
+                           f"match model input width {model_m}$"):
+            run_iteration(model, disc_cfg(bound=1.0), memory,
+                          scheme(model, 1))
+        assert not memory.theta_star.any()
+
     def test_saturates_at_theta_bar(self):
         # the memory saturates at the config's theta_bar, which the
         # monitor and the saturation statistics read
