@@ -3,7 +3,6 @@ extraction, and the barrier comparison report."""
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ import numpy as np
 
 from .barrier import (BarrierKind, default_bound_sequence, ibp_probe,
                       verify_order)
-from .engine import RunResult
+from .engine import RunResult, _csv_lines
 
 _SLACK = 1e-12
 _ZERO_TOL = 1e-9
@@ -178,19 +177,16 @@ class BlfReport:
         return rel_ok and ibp_ok
 
     def to_csv(self, path):
+        rows = [["section", "lo_or_kind", "hi", "b", "applicable", "holds",
+                 "c_estimate", "expected_c"]]
+        rows += [["order", r.lo, r.hi, repr(r.b), str(int(r.applicable)),
+                  "" if r.holds is None else str(int(r.holds)), "", ""]
+                 for r in self.relations]
+        rows += [["ibp", row.kind, "", "", "1", str(int(row.ibp_holds)),
+                  repr(float(row.c_estimate)), "" if row.expected_c is None
+                  else repr(float(row.expected_c))] for row in self.ibp]
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["section", "lo_or_kind", "hi", "b",
-                         "applicable", "holds", "c_estimate", "expected_c"])
-            for r in self.relations:
-                wr.writerow(["order", r.lo, r.hi, repr(r.b),
-                             int(r.applicable),
-                             "" if r.holds is None else int(r.holds), "", ""])
-            for row in self.ibp:
-                wr.writerow(["ibp", row.kind, "", "", 1, int(row.ibp_holds),
-                             repr(float(row.c_estimate)),
-                             "" if row.expected_c is None
-                             else repr(float(row.expected_c))])
+            fh.write(_csv_lines(rows))
 
     def to_text(self) -> str:
         out = io.StringIO()

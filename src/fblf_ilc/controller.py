@@ -31,6 +31,13 @@ class ControllerConfig:
     eps: float | None = None
 
     def __post_init__(self):
+        # robust_term tests `mode is Mode.CONT`, so a mode's string
+        # value must be read as its member
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise ValueError(f"mode must be one of disc, cont, got "
+                             f"{self.mode!r}") from None
         # the comparison is false for NaN too
         for name in ("bound", "gamma", "theta_bar", "eps"):
             x = getattr(self, name)

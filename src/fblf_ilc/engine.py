@@ -162,6 +162,9 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     times = grid.times
     if xd_table is None:
         xd_table = plant._desired(model, times)
+    elif len(xd_table) != len(times):
+        raise ValueError(f"x_d table length {len(xd_table)} does not match "
+                         f"grid times length {len(times)}")
     shape = _FLOAT if plant.float_native(model) else _ARRAY
     value, grad, rhs = model.loop_terms(shape)
     bound = plant.value_bound(model, config.bound)
@@ -326,8 +329,9 @@ def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
 
 def _csv_lines(rows) -> str:
     """Rows of str fields as the csv module's excel dialect writes them:
-    comma-separated, each ended by CRLF.  No field the writers give (an
-    int, a float repr, nan) needs quoting."""
+    comma-separated, each ended by CRLF.  Every CSV the package writes
+    goes through here; no field its writers give (an int, a float repr,
+    nan, a barrier kind or an empty field) needs quoting."""
     return "\r\n".join(map(",".join, rows)) + "\r\n"
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import re
 import tempfile
@@ -675,6 +676,21 @@ class TestCompareBlf:
 
     def test_rejects_nonpositive(self, tmp_path, capsys):
         assert main(["compare-blf", "-1.0", "--out", str(tmp_path)]) == 1
+
+    # the bytes the csv module's writer gave blf_report.csv; at 1e14
+    # LII <= FIII fails its verdict, and the report is written all the same
+    @pytest.mark.parametrize("bounds, code, digest", [
+        (["0.5", "2.0"], 0, "09ee5897db7ec35dc0ba6580dc7e29fd"
+                            "8bbe87bd9ff1f716caa838739a9bf9f2"),
+        (["0.1", "1.0", "20.0"], 0, "308440a6b4717bf7eef1506972c393bf"
+                                    "a72e891ec3ce93362b11da1d02ede2fd"),
+        (["1e14"], 3, "68142b5c9d3937ef3fe2c6f108a0a1a5"
+                      "bbae1974c30815414ebf029781ed25ef")])
+    def test_report_bytes_pinned(self, tmp_path, capsys, bounds, code,
+                                 digest):
+        assert main(["compare-blf", *bounds, "--out", str(tmp_path)]) == code
+        data = (tmp_path / "blf_report.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     # argparse reads only -<digits> and -<digits>.<digits> as negative
     # numbers and took these for unknown options, a two-line usage error

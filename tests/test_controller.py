@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fblf_ilc.barrier import FORMS
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
-from fblf_ilc.engine import _ARRAY, _FLOAT
+from fblf_ilc.engine import _ARRAY, _FLOAT, run
 from fblf_ilc.plant import scalar_model_i, scalar_model_ii, scheme, value_bound
 
 
@@ -172,6 +172,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             ControllerConfig(mode=Mode.CONT, bound=1.0, gamma=1.0,
                              theta_bar=1.0)
+
+    def test_mode_read_from_its_string_value(self):
+        # "cont" ran the discontinuous law, bit for bit
+        kwargs = dict(bound=0.5, gamma=2.0, theta_bar=1.0, eps=0.05)
+        u = {}
+        for mode in ("cont", Mode.CONT, Mode.DISC, "disc"):
+            cfg = ControllerConfig(mode=mode, **kwargs)
+            assert cfg.mode is Mode(mode)
+            u[mode] = run(scalar_model_i(), cfg, K=2, N=50).traces[-1].u
+        assert u["cont"].tobytes() == u[Mode.CONT].tobytes()
+        assert u["disc"].tobytes() == u[Mode.DISC].tobytes()
+        assert u["cont"].tobytes() != u[Mode.DISC].tobytes()
+
+    def test_cont_string_requires_eps(self):
+        with pytest.raises(ValueError, match="continuous mode requires eps"):
+            ControllerConfig(mode="cont", bound=1.0, gamma=1.0,
+                             theta_bar=1.0)
+
+    @pytest.mark.parametrize("mode", ["banana", "CONT", None, 1])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"^mode must be one of disc, "
+                                             f"cont, got {mode!r}$"):
+            ControllerConfig(mode=mode, bound=1.0, gamma=1.0, theta_bar=1.0,
+                             eps=0.1)
 
     def test_positive_fields(self):
         for kwargs in ({"bound": 0.0}, {"gamma": -1.0}, {"theta_bar": 0.0}):

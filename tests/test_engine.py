@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblf_ilc import engine, plant
+from fblf_ilc.analysis import blf_report
 from fblf_ilc.controller import ControllerConfig, Mode, robust_term
 from fblf_ilc.barrier import FORMS
 from fblf_ilc.engine import (_ARRAY, _FLOAT, _table, check_delta_L,
@@ -261,6 +262,27 @@ class TestRunIteration:
             run_iteration(model, disc_cfg(bound=1.0), memory,
                           scheme(model, 1))
         assert not memory.theta_star.any()
+
+    # both loops, with a table built for half and for twice the memory's
+    # N: the shorter one ran out mid-iteration, the longer one ran on the
+    # wrong reference; theta_star is left as it was
+    @pytest.mark.parametrize("table_N", [10, 40])
+    @pytest.mark.parametrize("factory", [
+        pytest.param(scalar_model_i, id="float-loop"),
+        pytest.param(lambda: two_channel_model(), id="array-loop")])
+    def test_xd_table_length_mismatch_rejected(self, factory, table_N):
+        model = factory()
+        cfg = disc_cfg(bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=20), m=model.m)
+        run_iteration(model, cfg, memory, scheme(model, 1))
+        before = memory.theta_star.tobytes()
+        table = _desired(model, TimeGrid(T=model.T, N=table_N).times)
+        with pytest.raises(ValueError, match=f"^x_d table length "
+                           f"{2 * table_N + 1} does not match grid times "
+                           f"length 41$"):
+            run_iteration(model, cfg, memory, scheme(model, 1),
+                          xd_table=table)
+        assert memory.theta_star.tobytes() == before
 
     def test_saturates_at_theta_bar(self):
         # the memory saturates at the config's theta_bar, which the
@@ -583,6 +605,27 @@ class TestCsvOutput:
         summary_lines = sp.read_text().strip().splitlines()
         assert summary_lines[0] == "k,sup_e,sup_V,L_T,delta_L,violations"
         assert len(summary_lines) == 1 + 2
+
+    def test_every_writer_needs_no_quoting(self, tmp_path):
+        # csv.reader reads each file as a plain split on "," and CRLF: a
+        # trace with NaN rows and breach flags, its summary's NaN delta_L
+        # and the report's empty fields all go through _csv_lines bare
+        result = run(scalar_model_i(), disc_cfg(bound=0.05), K=4, N=10)
+        assert result.any_breach
+        write_trace_csv(result, tmp_path / "trace.csv")
+        write_summary_csv(result, tmp_path / "summary.csv")
+        blf_report([0.5, 2.0]).to_csv(tmp_path / "blf_report.csv")
+        fields = {}
+        for name in ("trace.csv", "summary.csv", "blf_report.csv"):
+            text = (tmp_path / name).read_bytes().decode()
+            assert text.endswith("\r\n")
+            split = [line.split(",") for line in text[:-2].split("\r\n")]
+            assert list(csv.reader(io.StringIO(text, newline=""))) == split
+            fields[name] = split
+        assert any(row[-1] == "1" and row[4] == "nan"
+                   for row in fields["trace.csv"])
+        assert any(row[4] == "nan" for row in fields["summary.csv"][1:])
+        assert any("" in row for row in fields["blf_report.csv"])
 
 
 def lift(model):
