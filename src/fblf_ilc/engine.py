@@ -249,7 +249,7 @@ def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
         theta_table = plant.theta_path(model, t.tolist())
     dt = t[1] - t[0]
     nodes = np.arange(len(t))
-    step = max(1, _BLOCK // len(t))  # at most _BLOCK node rows at a time
+    step = max(1, _BLOCK // len(t))  # <= _BLOCK node rows: caps peak memory
     summaries, prev_LT = [], float("nan")
     for i in range(0, len(traces), step):
         block = traces[i:i + step]

@@ -4,7 +4,7 @@ Two model shapes are supported: a nonlinear form
 
     de/dt = f(e, t) + g(e, t) (u + dw(e, t) + theta(t))
 
-and a linear form with a stable matrix A and Lyapunov pair (P, Q).
+and a linear form A e + b (u + dw + theta) with the certificate e'Pe.
 The lumped uncertainty w(x, t) is split along the desired trajectory:
 theta(t) = w(x_d(t), t) is iteration-independent and learnable, while
 dw = w(x_d + e, t) - w(x_d, t) vanishes with the error and is only
@@ -103,13 +103,13 @@ class ErrorModelI:
 
 @dataclass(frozen=True)
 class ErrorModelII:
-    """Constrains e'Pe < b_e^2, with gradient B'Pe and half the barrier.
+    """Constrains e'Pe < b_e^2, with gradient B'Pe and half the barrier,
+    built from A, b and P = P' > 0 with -(A'P + PA) > 0, which it checks.
     Its Theorem-1 gain, FI's d1 b_e^2/(b_e^2 - V)^2, is 1/b_e^2 times
     that of the monitor's FII: the two pair only at b_e = 1."""
     A: np.ndarray
     b: np.ndarray  # n x m
     P: np.ndarray
-    Q: np.ndarray
     x_d: Callable[[float], np.ndarray]
     uncertainty: UncertaintySpec
     T: float
@@ -122,10 +122,14 @@ class ErrorModelII:
         2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
 
     def __post_init__(self):
-        residual = lyapunov_residual(self)
-        if residual > 1e-9 * (1.0 + np.linalg.norm(self.Q)):
-            raise ValueError(f"(P, Q) is not a Lyapunov pair of A: "
-                             f"||A'P + PA + Q|| = {residual:.3g}")
+        P, Q = self.P, -(self.A.T @ self.P + self.P @ self.A)
+        if not np.linalg.norm(P - P.T) <= 1e-9 * (1.0 + np.linalg.norm(P)):
+            raise ValueError("P is not symmetric, so B'Pe is not grad(e'Pe)/2")
+        for name, M in (("P", P), ("-(A'P + PA)", Q)):
+            low = float(np.min(np.linalg.eigvalsh(M)))
+            if not low > 0.0:
+                raise ValueError(f"{name} is not positive definite: "
+                                 f"smallest eigenvalue {low:.3g}")
 
     @property
     def n(self) -> int:
@@ -185,8 +189,10 @@ def _desired(model, times) -> list:
     x_d = model.x_d
     if float_native(model):
         return [np.asarray(x_d(t), dtype=float).item() for t in times]
-    # copies: the path keeps them
-    return [np.array(x_d(t), dtype=float) for t in times]
+    xds = [np.array(x_d(t), dtype=float) for t in times]  # copies: kept
+    if bad := {xd.shape for xd in xds} - {(model.n,)}:
+        raise ValueError(f"x_d returned shape {min(bad)}, not ({model.n},)")
+    return xds
 
 
 def theta_path(model, times, xds=None) -> np.ndarray:
@@ -208,11 +214,6 @@ def delta_w(model, t: float, e: State) -> np.ndarray:
     xd, = _desired(model, [t])
     w = model.uncertainty.w
     return np.asarray(w(xd + e, t), dtype=float) - np.asarray(w(xd, t), dtype=float)
-
-
-def lyapunov_residual(model: ErrorModelII) -> float:
-    """|| A'P + PA + Q ||, which should vanish for a valid pair."""
-    return float(np.linalg.norm(model.A.T @ model.P + model.P @ model.A + model.Q))
 
 
 def _draws(model, seed: int):
@@ -283,12 +284,11 @@ def scalar_model_i(T: float = 2.0 * math.pi) -> ErrorModelI:
 
 
 def scalar_model_ii(T: float = 2.0 * math.pi) -> ErrorModelII:
-    """Built-in scalar linear model: A = -1, b = 1, P = 1/2, Q = 1."""
+    """Built-in scalar linear model: A = -1, b = 1, P = 1/2 (so Q = 1)."""
     return ErrorModelII(
         A=np.array([[-1.0]]),
         b=np.array([[1.0]]),
         P=np.array([[0.5]]),
-        Q=np.array([[1.0]]),
         x_d=lambda t: np.array([math.sin(t)]),
         uncertainty=_scalar_uncertainty(),
         T=T,

@@ -392,6 +392,30 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 2
 
+    def test_delta_L_after_a_breach(self, tmp_path):
+        # iteration 1 breaches at node 16: summary.csv measures row 2's
+        # delta_L from L_T(0), the last unbreached iteration, while
+        # check_delta_L skips both pairs that touch the breach
+        path = write_config(tmp_path, """\
+            model = scalar-II
+            theorem = 1
+            mode = disc
+            b_e = 0.261
+            N = 20
+            K = 3
+        """)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        rows = [line.split(",") for line in
+                (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [r[-1] for r in rows] == ["0", "1", "0"]
+        assert [r[3:5] for r in rows[1:]] == [["nan", "nan"], [
+            "1.1778843770706415", "0.1802899061527129"]]
+        assert float(rows[2][3]) - float(rows[0][3]) == 0.1802899061527129
+        result = cli._run_one(parse_config(path))
+        assert [tr.breach_node for tr in result.traces] == [None, 16, None]
+        assert engine.check_delta_L(result) == []
+
     def test_svg_outputs(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import operator
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -649,8 +650,7 @@ def lift(model):
                                    uncertainty=unc, certificate=cert)
     eye = np.eye(2)
     return ErrorModelII(A=model.A[0, 0] * eye, b=col, P=model.P[0, 0] * eye,
-                        Q=model.Q[0, 0] * eye, x_d=x_d, uncertainty=unc,
-                        T=model.T)
+                        x_d=x_d, uncertainty=unc, T=model.T)
 
 
 # (model, bound, N): a bound that holds, a bound where b * b and b ** 2
@@ -746,11 +746,11 @@ def same_bits(a, b):
 
 def two_channel_model():
     """Two identical decoupled channels of model II: A = -I, B = I,
-    P = I/2, Q = I, x_d = (sin t, sin t), w = x/2 and rho = |e|/2."""
+    P = I/2 (so Q = I), x_d = (sin t, sin t), w = x/2 and rho = |e|/2."""
     eye = np.eye(2)
     unc = UncertaintySpec(w=lambda x, t: 0.5 * x,
                           rho=lambda e, t: 0.5 * float(np.linalg.norm(e)))
-    return ErrorModelII(A=-eye, b=eye, P=0.5 * eye, Q=eye,
+    return ErrorModelII(A=-eye, b=eye, P=0.5 * eye,
                         x_d=lambda t: np.array([math.sin(t), math.sin(t)]),
                         uncertainty=unc, T=TWO_PI)
 
@@ -818,7 +818,7 @@ class TestTwoInputs:
 
 def coupled_model():
     """A coupled 2-state model II with one input: A = [[0, 1], [-2, -3]]
-    (poles -1 and -2), B = [[0], [1]], Q = I and its Lyapunov P; the
+    (poles -1 and -2), B = [[0], [1]] and the P with A'P + PA = -I; the
     uncertainty w = sin(x0)/2 reaches the input through both states, and
     rho = |e|/2 bounds its error-induced part."""
     unc = UncertaintySpec(w=lambda x, t: np.array([0.5 * math.sin(x[0])]),
@@ -826,7 +826,6 @@ def coupled_model():
     return ErrorModelII(A=np.array([[0.0, 1.0], [-2.0, -3.0]]),
                         b=np.array([[0.0], [1.0]]),
                         P=np.array([[1.25, 0.25], [0.25, 0.25]]),
-                        Q=np.eye(2),
                         x_d=lambda t: np.array([math.sin(t), math.cos(t)]),
                         uncertainty=unc, T=TWO_PI)
 
@@ -855,6 +854,26 @@ class TestCoupledModel:
             assert np.max(np.abs(tr.theta_hat)) <= cfg.theta_bar
         verdicts = check_delta_L(result)
         assert len(verdicts) == 9 and all(v.passed for v in verdicts)
+
+    # unchecked, an x_d of shape (1,) broadcasts against e and runs on a
+    # wrong reference, and (2, 1) and (3,) fail mid-iteration
+    @pytest.mark.parametrize("shape", [(1,), (2, 1), (3,)],
+                             ids=["1", "2x1", "3"])
+    def test_xd_shape_rejected(self, shape):
+        model = coupled_model()
+        unc = dataclasses.replace(  # a w that reads both states
+            model.uncertainty, w=lambda x, t: np.sin(x).sum(keepdims=True) / 4)
+        model = dataclasses.replace(model, uncertainty=unc)
+        cfg = disc_cfg(bound=1.0)
+        memory = ParamMemory(TimeGrid(T=model.T, N=100), m=1)
+        run_iteration(model, cfg, memory, scheme(model, 1))
+        before = memory.theta_star.tobytes()
+        model = dataclasses.replace(
+            model, x_d=lambda t: np.full(shape, math.sin(t)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"x_d returned shape {shape}, not (2,)")):
+            run_iteration(model, cfg, memory, scheme(model, 1), k=1)
+        assert memory.theta_star.tobytes() == before
 
 
 class TestFloatShape:

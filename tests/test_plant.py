@@ -10,8 +10,8 @@ from fblf_ilc.controller import ControllerConfig, Mode
 from fblf_ilc.engine import _FLOAT, run
 from fblf_ilc.plant import (ErrorModelII, UncertaintySpec, check_certificate,
                             check_uncertainty_bound, delta_w,
-                            lyapunov_residual, scalar_model_i,
-                            scalar_model_ii, theta_path, value_bound)
+                            scalar_model_i, scalar_model_ii, theta_path,
+                            value_bound)
 
 PI = math.pi
 
@@ -149,22 +149,60 @@ class TestCertificate:
 
 class TestModel2Identity:
     def test_lyapunov_equation(self, m2):
-        assert lyapunov_residual(m2) <= 1e-10
+        # built from A, b and P: Q = -(A'P + PA) is derived, not passed
+        assert [f.name for f in dataclasses.fields(m2)] == [
+            "A", "b", "P", "x_d", "uncertainty", "T"]
+        assert -(m2.A.T @ m2.P + m2.P @ m2.A) == np.array([[1.0]])
+        with pytest.raises(TypeError, match="'Q'"):
+            ErrorModelII(A=m2.A, b=m2.b, P=m2.P, Q=m2.P, x_d=m2.x_d,
+                         uncertainty=m2.uncertainty, T=m2.T)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_pair_checked_at_construction(self, m2, n):
-        # A = -I and Q = I need P = I/2: P = I leaves A'P + PA + Q = -I
+        # A = -I with P = I gives Q = 2I: a Lyapunov pair, as is P = I/2
         eye = np.eye(n)
-        pair = dict(A=-eye, b=eye[:, :1], Q=eye, x_d=m2.x_d,
-                    uncertainty=m2.uncertainty, T=m2.T)
-        with pytest.raises(ValueError, match=r"not a Lyapunov pair of A: "
-                           rf"\|\|A'P \+ PA \+ Q\|\| = {math.sqrt(n):.3g}"):
-            ErrorModelII(P=eye, **pair)
-        assert lyapunov_residual(ErrorModelII(P=0.5 * eye, **pair)) == 0.0
+        model = ErrorModelII(A=-eye, b=eye[:, :1], P=eye, x_d=m2.x_d,
+                             uncertainty=m2.uncertainty, T=m2.T)
+        assert model.error_radius(None, 4.0) == 2.0
 
     def test_pq_positive_definite(self, m2):
         assert np.all(np.linalg.eigvalsh(m2.P) > 0)
-        assert np.all(np.linalg.eigvalsh(m2.Q) > 0)
+        assert np.all(np.linalg.eigvalsh(-(m2.A.T @ m2.P + m2.P @ m2.A)) > 0)
+
+    @pytest.mark.parametrize("A, P, message", [
+        pytest.param(-np.eye(n), -0.5 * np.eye(n), "P is not positive "
+                     "definite: smallest eigenvalue -0.5", id=f"P<0-n{n}")
+        for n in (1, 2)] + [
+        pytest.param(np.eye(n), 0.5 * np.eye(n), r"-\(A'P \+ PA\) is not "
+                     "positive definite: smallest eigenvalue -1",
+                     id=f"A-unstable-n{n}") for n in (1, 2)] + [
+        pytest.param(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                     "P is not symmetric", id="P-asymmetric")])
+    def test_not_a_lyapunov_pair_rejected(self, m2, A, P, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ErrorModelII(A=A, b=np.ones((len(A), 1)), P=P, x_d=m2.x_d,
+                         uncertainty=m2.uncertainty, T=m2.T)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]),
+           alpha=st.floats(0.1, 2.0))
+    def test_solved_pair_accepted_and_its_negative_rejected(self, m2, data,
+                                                            n, alpha):
+        # A = -(MM' + alpha I) + (S - S') has its symmetric part below
+        # -alpha I, so it is stable and A'P + PA = -I has P > 0; the
+        # Kronecker form of that equation on row-major vec(P) is solved
+        entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                           max_size=n * n)
+        M, S = (np.reshape(data.draw(entries), (n, n)) for _ in range(2))
+        eye = np.eye(n)
+        A = -(M @ M.T + alpha * eye) + (S - S.T)
+        P = np.linalg.solve(np.kron(A.T, eye) + np.kron(eye, A.T),
+                            -eye.ravel()).reshape(n, n)
+        pair = dict(A=A, b=eye[:, :1], x_d=m2.x_d,
+                    uncertainty=m2.uncertainty, T=m2.T)
+        ErrorModelII(P=P, **pair)
+        with pytest.raises(ValueError, match="^P is not positive definite"):
+            ErrorModelII(P=-P, **pair)
 
     def test_a_stable(self, m2):
         assert np.all(np.real(np.linalg.eigvals(m2.A)) < 0)
