@@ -91,13 +91,6 @@ def _leave_domain(v, t):
     raise _Breach
 
 
-def _item(a) -> float:
-    # a float (as the built-ins return), a numpy scalar or a 1-element array
-    if type(a) is float:
-        return a
-    return a.item() if isinstance(a, np.ndarray) else float(a)
-
-
 class _Shape(NamedTuple):
     """The primitives in which the float and the array loop differ.  The
     float dot and matvec are the bare product, -0.0 where numpy's give
@@ -113,7 +106,7 @@ class _Shape(NamedTuple):
 # n = m = 1: Python floats throughout; the float clamp keeps NaN and
 # -0.0 as numpy's minimum/maximum do
 _FLOAT = _Shape(
-    unwrap=_item,
+    unwrap=plant._item,
     dot=operator.mul,
     matvec=operator.mul,
     clamp=lambda v, b: -b if v < -b else (b if v > b else v),

@@ -71,7 +71,7 @@ class ErrorModelI:
     m: int
     f: Callable[[State, float], State]
     g: Callable[[State, float], State]  # n x m
-    x_d: Callable[[float], np.ndarray]
+    x_d: Callable[[float], State]
     uncertainty: UncertaintySpec
     certificate: LyapunovCertificate
     T: float
@@ -110,7 +110,7 @@ class ErrorModelII:
     A: np.ndarray
     b: np.ndarray  # n x m
     P: np.ndarray
-    x_d: Callable[[float], np.ndarray]
+    x_d: Callable[[float], State]
     uncertainty: UncertaintySpec
     T: float
 
@@ -122,7 +122,19 @@ class ErrorModelII:
         2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
 
     def __post_init__(self):
-        P, Q = self.P, -(self.A.T @ self.P + self.P @ self.A)
+        # each read once, as a copy: a later edit cannot bypass the checks
+        A, b, P = (np.array(getattr(self, k), dtype=float) for k in "AbP")
+        n = A.shape[0] if A.ndim == 2 and A.size else "n"
+        for name, M, cols in (("A", A, n), ("b", b, "m"), ("P", P, n)):
+            if not (M.ndim == 2 and M.size and M.shape[0] == n
+                    and cols in ("m", M.shape[1])):
+                at_least = ", m >= 1" if cols == "m" else ""
+                raise ValueError(f"{name} must be a matrix of shape "
+                                 f"({n}, {cols}){at_least}, got {M.shape}")
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} of shape {M.shape} is not finite")
+            object.__setattr__(self, name, M)
+        Q = -(A.T @ P + P @ A)
         if not np.linalg.norm(P - P.T) <= 1e-9 * (1.0 + np.linalg.norm(P)):
             raise ValueError("P is not symmetric, so B'Pe is not grad(e'Pe)/2")
         for name, M in (("P", P), ("-(A'P + PA)", Q)):
@@ -179,16 +191,21 @@ def value_bound(model, bound: float) -> float:
 
 def float_native(model) -> bool:
     """n = m = 1: the model's callables (V, LgV, f, g, w, rho) receive a
-    Python float state, not an array, in the closed loop, in theta_path
-    and delta_w and in the sampled checks; x_d returns arrays."""
+    Python float state, not an array, in the closed loop, in theta_path,
+    delta_w and the sampled checks; x_d returns a float or size-1 array."""
     return model.n == model.m == 1
+
+
+def _item(a) -> float:
+    """A float-native model's output, a float or of size 1, as a float."""
+    return a if type(a) is float else np.asarray(a, dtype=float).item()
 
 
 def _desired(model, times) -> list:
     """x_d at each of times, as the model's callables take a state."""
     x_d = model.x_d
     if float_native(model):
-        return [np.asarray(x_d(t), dtype=float).item() for t in times]
+        return [_item(x_d(t)) for t in times]
     xds = [np.array(x_d(t), dtype=float) for t in times]  # copies: kept
     if bad := {xd.shape for xd in xds} - {(model.n,)}:
         raise ValueError(f"x_d returned shape {min(bad)}, not ({model.n},)")
@@ -276,7 +293,7 @@ def scalar_model_i(T: float = 2.0 * math.pi) -> ErrorModelI:
         n=1, m=1,
         f=lambda e, t: -e,
         g=lambda e, t: 1.0,
-        x_d=lambda t: np.array([math.sin(t)]),
+        x_d=math.sin,
         uncertainty=_scalar_uncertainty(),
         certificate=cert,
         T=T,
@@ -289,7 +306,7 @@ def scalar_model_ii(T: float = 2.0 * math.pi) -> ErrorModelII:
         A=np.array([[-1.0]]),
         b=np.array([[1.0]]),
         P=np.array([[0.5]]),
-        x_d=lambda t: np.array([math.sin(t)]),
+        x_d=math.sin,
         uncertainty=_scalar_uncertainty(),
         T=T,
     )

@@ -53,11 +53,13 @@ def quiet_model():
 
 
 def replace_callables(model, wrap):
-    """model with each state callable the closed loop calls (V, LgV, f, g,
-    w, rho; model II has only w and rho) replaced by wrap(name, fn)."""
+    """model with x_d and each state callable the closed loop calls (V,
+    LgV, f, g, w, rho; model II has only w and rho) replaced by
+    wrap(name, fn)."""
     unc = model.uncertainty
-    fields = {"uncertainty": dataclasses.replace(
-        unc, w=wrap("w", unc.w), rho=wrap("rho", unc.rho))}
+    fields = {"x_d": wrap("x_d", model.x_d),
+              "uncertainty": dataclasses.replace(
+                  unc, w=wrap("w", unc.w), rho=wrap("rho", unc.rho))}
     if isinstance(model, ErrorModelI):
         cert = model.certificate
         fields.update(f=wrap("f", model.f), g=wrap("g", model.g),
@@ -68,23 +70,25 @@ def replace_callables(model, wrap):
 
 
 # the return forms a float-native model's callables may use besides a
-# float: V and rho return a float or a numpy scalar, and LgV, f, g and w
-# may also return a one-element array
+# float: V and rho return a float or a numpy scalar, and LgV, f, g, w and
+# x_d may also return a one-element array
 RETURNS = {"numpy-scalar": np.float64,
            "one-element-array": lambda y: np.array([y])}
-CONTRACT = ([(f, "numpy-scalar") for f in ("V", "LgV", "f", "g", "w", "rho")]
-            + [(f, "one-element-array") for f in ("LgV", "f", "g", "w")])
+CONTRACT = ([(f, "numpy-scalar")
+             for f in ("V", "LgV", "f", "g", "w", "rho", "x_d")]
+            + [(f, "one-element-array") for f in ("LgV", "f", "g", "w", "x_d")])
 # (model, theorem, return form of each callable that returns no float):
 # each form alone, then all of model I's callables at once in both
 # schemes, mixing the forms in model I's sum f + g (u + w), and model II's
 NP, ARR = "numpy-scalar", "one-element-array"
 RETURN_CASES = [pytest.param("I", 1, {f: form}, id=f"{f}-{form}")
                 for f, form in CONTRACT] + [
-    pytest.param("I", 1, dict(V=NP, LgV=ARR, f=NP, g=ARR, w=NP, rho=NP),
-                 id="I-all-thm1-disc"),
-    pytest.param("I", 2, dict(V=NP, LgV=NP, f=ARR, g=NP, w=ARR, rho=NP),
-                 id="I-all-thm2-cont"),
-    pytest.param("II", 1, dict(w=ARR, rho=NP), id="II-w-rho")]
+    pytest.param("I", 1, dict(V=NP, LgV=ARR, f=NP, g=ARR, w=NP, rho=NP,
+                              x_d=ARR), id="I-all-thm1-disc"),
+    pytest.param("I", 2, dict(V=NP, LgV=NP, f=ARR, g=NP, w=ARR, rho=NP,
+                              x_d=NP), id="I-all-thm2-cont"),
+    pytest.param("II", 1, dict(w=ARR, rho=NP), id="II-w-rho"),
+    pytest.param("II", 2, dict(x_d=NP), id="II-x_d-thm2-cont")]
 
 
 class TestRunIteration:
@@ -167,14 +171,15 @@ class TestRunIteration:
                                  scheme(one, 1)).breach
         assert counts == {"f": 4 * N, "g": 4 * N, "w": 4 * N,
                           "V": 4 * N + 1, "LgV": 4 * N + 1, "rho": 4 * N + 1,
-                          "robust": 4 * N + 1}
+                          "robust": 4 * N + 1, "x_d": 2 * N + 1}
 
         counts.clear()
         two = replace_callables(scalar_model_ii(), counted)
         memory = ParamMemory(TimeGrid(T=two.T, N=N), m=1)
         assert not run_iteration(two, disc_cfg(bound=1.0), memory,
                                  scheme(two, 1)).breach
-        assert counts == {"w": 4 * N, "rho": 4 * N + 1, "robust": 4 * N + 1}
+        assert counts == {"w": 4 * N, "rho": 4 * N + 1, "robust": 4 * N + 1,
+                          "x_d": 2 * N + 1}
 
     @pytest.mark.parametrize("name", ["I", "II"])
     def test_float_native_callables_receive_floats(self, name):
@@ -182,17 +187,18 @@ class TestRunIteration:
         seen = set()
 
         def typed(field, fn):
-            def wrapper(x, t):
+            def wrapper(x, *t):
                 seen.add((field, type(x)))
-                return fn(x, t)
+                return fn(x, *t)
             return wrapper
 
         model = replace_callables(FACTORIES[name](), typed)
         memory = ParamMemory(TimeGrid(T=model.T, N=50), m=1)
         cfg = disc_cfg(bound=REF_BOUND[name])
         assert not run_iteration(model, cfg, memory, scheme(model, 1)).breach
-        fields = (("V", "LgV", "f", "g", "w", "rho") if name == "I"
-                  else ("w", "rho"))
+        # x_d, too, gets its time as a float
+        fields = (("V", "LgV", "f", "g", "w", "rho", "x_d") if name == "I"
+                  else ("w", "rho", "x_d"))
         assert seen == {(field, float) for field in fields}
 
     @pytest.mark.parametrize("name, theorem, forms", RETURN_CASES)
@@ -203,7 +209,7 @@ class TestRunIteration:
             if field not in forms:
                 return fn
             form = RETURNS[forms[field]]
-            return lambda x, t: form(fn(x, t))
+            return lambda *args: form(fn(*args))
 
         bound = REF_BOUND[name]
         cfg = disc_cfg(bound) if theorem == 1 else cont_cfg(bound)
@@ -311,10 +317,7 @@ class TestRunIteration:
                 return fn(*args)
             return wrapped
 
-        base = scalar_model_i()
-        model = dataclasses.replace(
-            replace_callables(base, recording),
-            x_d=recording("x_d", base.x_d))
+        model = replace_callables(scalar_model_i(), recording)
         result = run(model, disc_cfg(), K=1, N=2000)
         assert not result.any_breach
         for name in ("V", "LgV", "f", "g", "w", "rho"):
@@ -639,7 +642,7 @@ def lift(model):
                           rho=lambda e, t: model.uncertainty.rho(e[0], t))
 
     def x_d(t):
-        return np.array([model.x_d(t)[0], 0.0])
+        return np.append(model.x_d(t), 0.0)
 
     if isinstance(model, ErrorModelI):
         cert = dataclasses.replace(
@@ -944,8 +947,12 @@ class TestFloatShape:
     def test_unwrap(self):
         # the model callables may return a float, a numpy scalar or a
         # one-element array; the loop reads each into a float
+        # by plant's one converter, which x_d's output goes through too
+        assert _FLOAT.unwrap is plant._item
+        assert not hasattr(engine, "_item")
         for a, want in ((np.array([[2.5]]), 2.5), (np.array([1.0]), 1.0),
-                        (np.float64(-1.5), -1.5), (-0.0, -0.0)):
+                        (np.float64(-1.5), -1.5), (-0.0, -0.0),
+                        (np.array([3]), 3.0), (np.float32(0.5), 0.5)):
             got = _FLOAT.unwrap(a)
             assert type(got) is float and same_bits(got, want), a
 

@@ -112,6 +112,13 @@ class TestUncertainty:
         assert not result.any_breach
         assert np.all(np.isfinite(result.traces[-1].L))
 
+    @pytest.mark.parametrize("factory", [scalar_model_i, scalar_model_ii])
+    def test_builtin_x_d_returns_floats(self, factory):
+        # x_d = sin t as a Python float, as every other built-in callable
+        x_d = factory().x_d
+        for t in (0.0, PI / 3, 2.0 * PI):
+            assert type(x_d(t)) is float and x_d(t) == math.sin(t)
+
     @pytest.mark.parametrize("rho", [
         pytest.param(lambda e, t: 0.1 * abs(e), id="bound-fails"),
         pytest.param(lambda e, t: 0.5 * abs(e) + 1.0, id="nonzero-at-zero")])
@@ -182,6 +189,53 @@ class TestModel2Identity:
         with pytest.raises(ValueError, match=f"^{message}"):
             ErrorModelII(A=A, b=np.ones((len(A), 1)), P=P, x_d=m2.x_d,
                          uncertainty=m2.uncertainty, T=m2.T)
+
+    @pytest.mark.parametrize("field, M, message", [
+        pytest.param("b", np.ones(2), r"b must be a matrix of shape \(2, m\), "
+                     r"m >= 1, got \(2,\)", id="b-1d"),
+        pytest.param("b", np.ones((3, 1)), r"b must be a matrix of shape "
+                     r"\(2, m\), m >= 1, got \(3, 1\)", id="b-3-rows"),
+        pytest.param("b", np.ones((1, 2)), r"b must be a matrix of shape "
+                     r"\(2, m\), m >= 1, got \(1, 2\)", id="b-1x2"),
+        pytest.param("A", -np.ones((2, 3)), r"A must be a matrix of shape "
+                     r"\(2, 2\), got \(2, 3\)", id="A-2x3"),
+        pytest.param("P", np.eye(3), r"P must be a matrix of shape "
+                     r"\(2, 2\), got \(3, 3\)", id="P-3x3"),
+        pytest.param("P", np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                     r"P of shape \(2, 2\) is not finite", id="P-nan")])
+    def test_matrix_shape_and_values_checked(self, m2, field, M, message):
+        # each matrix is named with its shape before the Lyapunov pair is
+        # read, at n = 2 with A = -I, b = e1 and P = I/2
+        eye = np.eye(2)
+        pair = dict(A=-eye, b=eye[:, :1], P=0.5 * eye, x_d=m2.x_d,
+                    uncertainty=m2.uncertainty, T=m2.T)
+        ErrorModelII(**pair)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ErrorModelII(**{**pair, field: M})
+
+    def test_matrices_read_once_as_float_copies(self, m2):
+        # nested lists build the model the arrays do, and a caller's later
+        # edit of its array reaches neither the model nor its checks
+        A, b, P = -np.eye(2), np.eye(2)[:, :1], 0.5 * np.eye(2)
+        unc = UncertaintySpec(w=lambda x, t: 0.5 * x[:1],
+                              rho=lambda e, t: 0.5 * abs(e[0]))
+        rest = dict(x_d=lambda t: np.array([math.sin(t), math.cos(t)]),
+                    uncertainty=unc, T=m2.T)
+        by_array = ErrorModelII(A=A, b=b, P=P, **rest)
+        by_list = ErrorModelII(A=A.tolist(), b=b.tolist(), P=P.tolist(),
+                               **rest)
+        P[0, 0] = np.nan
+        for name in "AbP":
+            got = getattr(by_list, name)
+            assert got.dtype == float
+            np.testing.assert_array_equal(got, getattr(by_array, name))
+        assert by_array.P[0, 0] == 0.5
+        cfg = ControllerConfig(mode=Mode.DISC, bound=1.0, gamma=2.0,
+                               theta_bar=1.0)
+        one, two = (run(model, cfg, K=2, N=20) for model in (by_array, by_list))
+        for a, b in zip(one.traces, two.traces):
+            np.testing.assert_array_equal(a.e, b.e)
+            np.testing.assert_array_equal(a.L, b.L)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), n=st.sampled_from([2, 3]),
