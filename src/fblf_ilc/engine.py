@@ -225,21 +225,18 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
 
 def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
-              scheme: plant.Scheme,
-              theta_table: np.ndarray | None = None) -> list[IterationSummary]:
+              scheme: plant.Scheme) -> list[IterationSummary]:
     """Per-node Lyapunov-Krasovskii monitor of traces on one grid.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
-    with BLF of scheme's monitor kind, theta the true learnable
-    uncertainty (simulation-only), the integral taken by the trapezoid
-    rule on the grid and gamma the learning gain of config.  Sets each
-    trace's L, NaN from its breach node on, and returns their summaries;
-    theta_table, theta at every node, is computed when not given.
+    the integral by the grid's trapezoid rule, with BLF of scheme's
+    monitor kind, theta = plant.theta_path at the nodes (simulation-only)
+    and gamma config's learning gain.  Sets each trace's L, NaN from its
+    breach node on, and returns their summaries.
     """
     blf = _blf(model, config, scheme)
     t = traces[0].t
-    if theta_table is None:
-        theta_table = plant.theta_path(model, t.tolist())
+    theta_table = plant.theta_path(model, t.tolist())
     dt = t[1] - t[0]
     nodes = np.arange(len(t))
     step = max(1, _BLOCK // len(t))  # <= _BLOCK node rows: caps peak memory
@@ -278,11 +275,9 @@ def run(model, config: ControllerConfig, K: int, N: int = 2000,
     grid = TimeGrid(T=model.T, N=N)
     memory = ParamMemory(grid, m=model.m)
     xd_table = plant._desired(model, grid.times)
-    theta_table = plant.theta_path(model, grid.times[::2], xd_table[::2])
     traces = [run_iteration(model, config, memory, scheme, k=k,
                             xd_table=xd_table) for k in range(K)]
-    summaries = monitor_L(traces, model, config, scheme,
-                          theta_table=theta_table)
+    summaries = monitor_L(traces, model, config, scheme)
     return RunResult(model=model, config=config, scheme=scheme, grid=grid,
                      summaries=summaries, traces=traces, memory=memory)
 

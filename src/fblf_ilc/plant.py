@@ -198,7 +198,13 @@ def float_native(model) -> bool:
 
 def _item(a) -> float:
     """A float-native model's output, a float or of size 1, as a float."""
-    return a if type(a) is float else np.asarray(a, dtype=float).item()
+    if type(a) is float:
+        return a
+    a = np.asarray(a, dtype=float)
+    if a.size != 1:
+        raise ValueError(f"an n = m = 1 model's callables return a float or "
+                         f"a size-1 array, got shape {a.shape}")
+    return a.item()
 
 
 def _desired(model, times) -> list:
@@ -206,22 +212,20 @@ def _desired(model, times) -> list:
     x_d = model.x_d
     if float_native(model):
         return [_item(x_d(t)) for t in times]
-    xds = [np.array(x_d(t), dtype=float) for t in times]  # copies: kept
-    if bad := {xd.shape for xd in xds} - {(model.n,)}:
+    path = [np.array(x_d(t), dtype=float) for t in times]  # copies: kept
+    if bad := {xd.shape for xd in path} - {(model.n,)}:
         raise ValueError(f"x_d returned shape {min(bad)}, not ({model.n},)")
-    return xds
+    return path
 
 
-def theta_path(model, times, xds=None) -> np.ndarray:
+def theta_path(model, times) -> np.ndarray:
     """Learnable part of the uncertainty, theta(t) = w(x_d(t), t), at each
-    of times, as a (len(times), m) array.  xds is x_d at those times as
-    _desired gives it, which is computed when not given.
+    of times, as a (len(times), m) array; x_d, read as _desired reads
+    it, and w are called once per time.
 
     Monitor-only: the controller never sees this.
     """
-    if xds is None:
-        xds = _desired(model, times)
-    w = model.uncertainty.w
+    w, xds = model.uncertainty.w, _desired(model, times)
     return np.array([w(xd, t) for xd, t in zip(xds, times)],
                     dtype=float).reshape(len(times), -1)
 

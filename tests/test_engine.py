@@ -428,6 +428,23 @@ class TestRun:
         run(scalar_model_i(), disc_cfg(), K=3, N=50)
         assert calls == [[0, 1, 2]]
 
+    @pytest.mark.parametrize("name", ["I", "II"])
+    def test_x_d_calls_per_run(self, name):
+        # 2N + 1 for the table every iteration reads, once per run, and
+        # N + 1 for the monitor's theta, whatever K is
+        calls = []
+
+        def x_d(t):
+            calls.append(t)
+            return math.sin(t)
+
+        model = dataclasses.replace(FACTORIES[name](), x_d=x_d)
+        N = 50
+        result = run(model, disc_cfg(bound=REF_BOUND[name]), K=3, N=N)
+        assert not result.any_breach
+        assert len(calls) == 3 * N + 2
+        assert calls == result.grid.times + result.grid.nodes.tolist()
+
     def test_breach_rows_masked(self):
         # each iteration after the first breaches inside an integrator
         # stage of interval breach_node, whose node row holds a finite V
@@ -956,6 +973,26 @@ class TestFloatShape:
             got = _FLOAT.unwrap(a)
             assert type(got) is float and same_bits(got, want), a
 
+    # more than one element is named by its shape, not by numpy's "can
+    # only convert an array of size 1 to a Python scalar"
+    @pytest.mark.parametrize("field", ["x_d", "f"])
+    def test_oversized_output_rejected(self, field):
+        model = scalar_model_i()
+        fn = getattr(model, field)
+        wide = dataclasses.replace(
+            model, **{field: lambda *a: np.array([fn(*a), 0.0])})
+        rule = re.escape("an n = m = 1 model's callables return a float or "
+                         "a size-1 array, got shape (2,)")
+        with pytest.raises(ValueError, match=rule):
+            run(wide, disc_cfg(), K=2, N=20)
+        if field == "x_d":  # rejected before any row is learned
+            memory = ParamMemory(TimeGrid(T=model.T, N=20), m=1)
+            run_iteration(model, disc_cfg(), memory, scheme(model, 1))
+            before = memory.theta_star.tobytes()
+            with pytest.raises(ValueError, match=rule):
+                run_iteration(wide, disc_cfg(), memory, scheme(wide, 1), k=1)
+            assert memory.theta_star.tobytes() == before
+
     def test_table_and_rows(self):
         # a column of floats and the same column as (1,) rows give one
         # table, bit for bit, whole or cut short with a NaN tail, and the
@@ -1129,11 +1166,9 @@ class TestThetaTable:
         grid = TimeGrid(T, N)
         want = pointwise_theta(model, grid.nodes)
         nodes = grid.nodes.tolist()
-        # as run builds it, from the x_d table, and as monitor_L's
-        # default builds it, from x_d at the nodes
+        # as monitor_L builds it, from x_d at the nodes
         assert want.shape == (N + 1, 1)
-        for got in (theta_path(model, nodes, _desired(model, grid.times)[::2]),
-                    theta_path(model, nodes)):
-            assert got.shape == want.shape and same_bits(got, want)
+        got = theta_path(model, nodes)
+        assert got.shape == want.shape and same_bits(got, want)
         got = theta_path(model, [nodes[N // 2]])[0]
         assert got.shape == (1,) and same_bits(got, want[N // 2])

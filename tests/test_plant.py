@@ -54,12 +54,13 @@ class TestRhsModel1:
 
     def test_dimension_mismatch(self, m1):
         # the model's f returns a 2-vector, which the engine cannot read
-        # into the scalar loop
+        # into the scalar loop, and says so by its shape
         model = dataclasses.replace(m1, f=lambda e, t: np.full(2, -e))
         cfg = ControllerConfig(mode=Mode.DISC, bound=0.5, gamma=2.0,
                                theta_bar=1.0)
-        with pytest.raises(ValueError, match="^can only convert an array "
-                                             "of size 1 to a Python scalar$"):
+        with pytest.raises(ValueError, match=r"^an n = m = 1 model's "
+                           r"callables return a float or a size-1 array, "
+                           r"got shape \(2,\)$"):
             run(model, cfg, K=1, N=10)
 
 
