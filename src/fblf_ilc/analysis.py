@@ -81,23 +81,18 @@ def _check(r, s, d, d_bar) -> LemmaVerdict:
                         s_vanishes)
 
 
-def lemma1_check(seq: SequenceTriple) -> LemmaVerdict:
-    """Verify r_k <= r_{k-1} - s_k and estimate the limit of s."""
-    if seq.d is not None:
-        raise ValueError("lemma1_check takes no residual sequence d")
-    return _check(seq.r, seq.s, np.zeros_like(seq.r), seq.d_bar)
-
-
 def lemma2_check(seq: SequenceTriple) -> LemmaVerdict:
     """Verify r_k <= r_{k-1} - s_k + d_k and the residual-limited limsup.
 
-    With d identically zero this reproduces lemma1_check bit for bit.
+    A missing d reads as zeros, which is Lemma 1: r_k <= r_{k-1} - s_k.
     The lemma's coupling hypothesis (s vanishes whenever r does) is not
     checkable from finite data and is treated as an assumption.
     """
-    if seq.d is None:
-        raise ValueError("lemma2_check requires the residual sequence d")
-    return _check(seq.r, seq.s, seq.d, seq.d_bar)
+    d = np.zeros_like(seq.r) if seq.d is None else seq.d
+    return _check(seq.r, seq.s, d, seq.d_bar)
+
+
+lemma1_check = lemma2_check  # Lemma 1 is Lemma 2 with d = 0
 
 
 @dataclass(frozen=True)
@@ -113,6 +108,9 @@ class ConvergenceMetrics:
 def convergence_metrics(result: RunResult, eps: float, T: float) -> ConvergenceMetrics:
     """Tail-window limsup of the constrained quantity against the
     smoothed scheme's residual bound, plus the implied error radius."""
+    for name, value in (("eps", eps), ("T", T)):
+        if value is None or not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     sup_V = np.array([s.sup_V for s in result.summaries])
     if len(sup_V) < 8:
         raise ValueError("need at least 8 iterations for a tail window")

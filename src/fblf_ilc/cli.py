@@ -278,12 +278,9 @@ def cmd_check_lemmas(args) -> int:
         return _fail(1, f"cannot read {path}: {exc}")
     except (csv.Error, ValueError, KeyError, TypeError) as exc:
         return _fail(1, f"malformed CSV: {exc}")
-    if seq.d is None:
-        verdict = analysis.lemma1_check(seq)
-        which = "lemma 1 (no residual)"
-    else:
-        verdict = analysis.lemma2_check(seq)
-        which = "lemma 2 (with residual)"
+    verdict = analysis.lemma2_check(seq)
+    which = ("lemma 1 (no residual)" if seq.d is None
+             else "lemma 2 (with residual)")
     print(f"{which}: inequality "
           f"{'holds' if verdict.inequality_holds else 'VIOLATED'}"
           + ("" if verdict.first_violation is None

@@ -236,6 +236,10 @@ def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
     """
     blf = _blf(model, config, scheme)
     t = traces[0].t
+    for tr in traces:  # run's traces share one nodes array
+        if tr.t is not t and not np.array_equal(tr.t, t):
+            raise ValueError(f"trace k={tr.k} is not on the time grid of "
+                             f"trace k={traces[0].k}")
     theta_table = plant.theta_path(model, t.tolist())
     dt = t[1] - t[0]
     nodes = np.arange(len(t))
@@ -292,25 +296,24 @@ class DeltaLVerdict:
 
 
 def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
-    """Verify the per-iteration decrease of the monitor at t = T.
+    """Verify the per-iteration decrease of the monitor at t = T, on the
+    L(T) and delta L that monitor_L wrote into result's summaries.
 
     The model type names the required decrease: V_{k-1}(T) for model I,
     the BLF value W_{k-1}(T) for model II; a smoothed scheme adds an
-    eps*T allowance.
+    eps*T allowance.  Pairs that touch a breached iteration get no verdict.
     """
     model, config, scheme = result.model, result.config, result.scheme
     blf = _blf(model, config, scheme)
     residual = (config.eps or 0.0) * result.grid.T if scheme.smoothed else 0.0
     verdicts = []
-    for k in range(1, len(result.traces)):
-        prev, cur = result.traces[k - 1], result.traces[k]
-        if prev.breach or cur.breach:
+    for prev, cur, tr in zip(result.summaries, result.summaries[1:],
+                             result.traces):  # tr: iteration k - 1's trace
+        if prev.violations or cur.violations:
             continue
-        L_k = float(cur.L[-1])
-        dL = L_k - float(prev.L[-1])
-        required = -model.required_decrease(float(prev.V[-1]), blf) + residual
-        slack = 1e-6 * (1.0 + abs(L_k))
-        verdicts.append(DeltaLVerdict(k=k, delta_L=dL, required=required,
+        required = -model.required_decrease(float(tr.V[-1]), blf) + residual
+        dL, slack = cur.delta_L, 1e-6 * (1.0 + abs(cur.L_T))
+        verdicts.append(DeltaLVerdict(k=cur.k, delta_L=dL, required=required,
                                       slack=slack, passed=dL <= required + slack))
     return verdicts
 

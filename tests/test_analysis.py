@@ -43,10 +43,9 @@ class TestLemma1:
         verdict = lemma1_check(SequenceTriple(L, V_prev))
         assert verdict.inequality_holds
 
-    def test_rejects_residual(self):
-        r, s = geometric()
-        with pytest.raises(ValueError):
-            lemma1_check(SequenceTriple(r, s, d=np.zeros_like(r)))
+    def test_is_lemma2_check(self):
+        # Lemma 1 is Lemma 2 with d = 0: one function under both names
+        assert lemma1_check is lemma2_check
 
 
 class TestLemma2:
@@ -78,10 +77,12 @@ class TestLemma2:
         assert verdict.s_tail_estimate <= d_bar
         assert verdict.bound_respected
 
-    def test_requires_residual(self):
-        r, s = geometric()
-        with pytest.raises(ValueError):
-            lemma2_check(SequenceTriple(r, s))
+    def test_missing_residual_reads_zero(self):
+        # with a d_bar, so that bound_respected is compared too
+        for r, s in [geometric(), (np.arange(1.0, 9.0), np.ones(8))]:
+            zeros = np.zeros_like(r)
+            assert (lemma2_check(SequenceTriple(r, s, d_bar=0.5))
+                    == lemma2_check(SequenceTriple(r, s, zeros, d_bar=0.5)))
 
     def test_length_checks(self):
         with pytest.raises(ValueError):
@@ -162,6 +163,20 @@ class TestConvergenceMetrics:
         assert metrics.bound == 2.0 * 1e-2 * result.grid.T
         # lambda_min(P) = 0.5
         assert metrics.e_radius == pytest.approx(math.sqrt(metrics.bound / 0.5))
+
+    @pytest.mark.parametrize("name, value", [
+        ("eps", None), ("eps", -1.0), ("eps", 0.0), ("eps", math.nan),
+        ("eps", math.inf), ("T", 0.0), ("T", -1.0), ("T", math.nan),
+        ("T", math.inf)])
+    def test_eps_and_T_positive_finite(self, name, value):
+        # a Theorem-1 config's eps is None
+        cfg = ControllerConfig(mode=Mode.CONT, bound=0.5, gamma=2.0,
+                               theta_bar=1.0, eps=1e-2)
+        result = run(scalar_model_i(), cfg, K=8, N=20, theorem=2)
+        args = {"eps": 1e-2, "T": result.grid.T, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                             f"finite, got {value}$"):
+            convergence_metrics(result, **args)
 
     def test_needs_tail_window(self):
         cfg = ControllerConfig(mode=Mode.CONT, bound=0.5, gamma=2.0,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fblf_ilc import cli, engine, plant, svgplot
+from fblf_ilc import analysis, cli, engine, plant, svgplot
 from fblf_ilc.cli import main, parse_config, ConfigError
 from fblf_ilc.controller import ControllerConfig, Mode
 from fblf_ilc.learner import ParamMemory
@@ -788,6 +788,33 @@ class TestCheckLemmas:
         rows = ["r,s,d"] + ["0.3,0.3,0.3"] * 10
         csv_path.write_text("\n".join(rows) + "\n")
         assert main(["check-lemmas", str(csv_path)]) == 0
+
+    @pytest.mark.parametrize("text, code, stdout", [
+        ("r,s\n1.0,0.0\n0.5,0.4\n0.2,0.2\n", 0,
+         "lemma 1 (no residual): inequality holds\n"
+         "  tail estimate of s: 0.2\n  s vanishes with d: False\n"),
+        ("r,s,d\n1.0,0.0,0.1\n0.5,0.4,0.0\n0.2,0.2,0.05\n", 0,
+         "lemma 2 (with residual): inequality holds\n"
+         "  tail estimate of s: 0.2\n"),
+        ("r,s\n1,1\n2,1\n3,1\n", 3,
+         "lemma 1 (no residual): inequality VIOLATED (first violation at "
+         "k=1)\n  tail estimate of s: 1\n  s vanishes with d: False\n"),
+    ], ids=["lemma1", "lemma2", "violated"])
+    def test_one_lemma_call(self, tmp_path, capsys, monkeypatch, text, code,
+                            stdout):
+        # the label comes from the file's columns, the verdict from one call
+        seqs, check = [], analysis.lemma2_check
+
+        def counted(seq):
+            seqs.append(seq)
+            return check(seq)
+
+        monkeypatch.setattr(analysis, "lemma2_check", counted)
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text(text)
+        assert main(["check-lemmas", str(csv_path)]) == code
+        assert capsys.readouterr().out == stdout
+        assert len(seqs) == 1
 
     def test_malformed_exit_1(self, tmp_path, capsys):
         csv_path = tmp_path / "seq.csv"

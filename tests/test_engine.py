@@ -386,6 +386,21 @@ class TestMonitor:
         monitor_L([tr], model, disc_cfg(), scheme(model, 1))
         assert np.all(np.diff(tr.L) >= -1e-15)
 
+    @pytest.mark.parametrize("other", [
+        pytest.param((scalar_model_i(T=1.0), 50), id="horizon"),
+        pytest.param((scalar_model_i(), 60), id="N")])
+    def test_traces_on_another_grid_rejected(self, other):
+        traces = []
+        for k, (model, N) in enumerate([(scalar_model_i(), 50), other]):
+            memory = ParamMemory(TimeGrid(T=model.T, N=N), m=1)
+            traces.append(run_iteration(model, disc_cfg(), memory,
+                                        scheme(model, 1), k=k))
+        with pytest.raises(ValueError, match="^trace k=1 is not on the "
+                                             "time grid of trace k=0$"):
+            monitor_L(traces, scalar_model_i(), disc_cfg(),
+                      scheme(scalar_model_i(), 1))
+        assert [tr.L for tr in traces] == [None, None]
+
 
 class TestRun:
     def test_k0_rejected(self):
@@ -597,9 +612,26 @@ class TestDeltaL:
 
     def test_corrupted_sequence_detected(self):
         result = run(scalar_model_i(), disc_cfg(), K=5, N=300)
-        result.traces[3].L[-1] = result.traces[2].L[-1] + 1.0
+        # check_delta_L reads L(T) and delta L off the summaries
+        cur = result.summaries[3]
+        cur.L_T, cur.delta_L = result.summaries[2].L_T + 1.0, 1.0
         verdicts = check_delta_L(result)
         assert any(not v.passed for v in verdicts)
+
+    @pytest.mark.parametrize("share, passed", [(0.5, True), (1.5, False)])
+    def test_slack_is_relative(self, share, passed):
+        # |L(T)| ~ 38, so a delta L above required by share * 1e-6 * |L(T)|
+        # passes only within the relative slack 1e-6 * (1 + |L(T)|)
+        cfg = ControllerConfig(mode=Mode.DISC, bound=0.5, gamma=0.01,
+                               theta_bar=1.0)
+        result = run(scalar_model_i(), cfg, K=3, N=50)
+        cur = result.summaries[2]
+        assert abs(cur.L_T) > 30
+        required = check_delta_L(result)[1].required
+        cur.delta_L = required + 1e-6 * (1.0 + share * abs(cur.L_T))
+        verdict = check_delta_L(result)[1]
+        assert (verdict.k, verdict.delta_L) == (2, cur.delta_L)
+        assert verdict.passed is passed
 
     def test_theorem2_allows_residual(self):
         result = run(scalar_model_i(), cont_cfg(eps=1e-2), K=6, N=500,
