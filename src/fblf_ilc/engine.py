@@ -197,7 +197,7 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
             # the learning signal z = dB/dV * grad V, B of the gain kind
             z = d1(v, bound) * grad(e, t)
             z = z if type(z) is float else unwrap(z)
-            _, theta_hat = update(i, z, gamma, theta_bar, clamp, store)
+            theta_hat = update(i, z, gamma, theta_bar, clamp, store)
             u = -theta_hat - robust(z, rho(e, t))
             es.append(e)
             us.append(u)
@@ -234,6 +234,8 @@ def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
     and gamma config's learning gain.  Sets each trace's L, NaN from its
     breach node on, and returns their summaries.
     """
+    if not traces:
+        raise ValueError("monitor_L got no traces")
     blf = _blf(model, config, scheme)
     t = traces[0].t
     for tr in traces:  # run's traces share one nodes array

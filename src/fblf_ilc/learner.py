@@ -64,11 +64,11 @@ class ParamMemory:
 
     def update_node(self, i: int, z: np.ndarray | float, gamma: float,
                     bound: float, clamp=sat, store=None):
-        """Apply the learning recursion at node i, saturating at bound;
-        returns (theta_star, theta_hat).
+        """Apply the learning recursion at node i, saturating at bound, and
+        return theta_hat; theta_star stays in row i of store.
 
         store holds the rows read and written, theta_star by default;
-        clamp fixes the shape z, the rows and the results take: numpy
+        clamp fixes the shape z, the rows and the result take: numpy
         rows by default, Python floats when the engine runs an m = 1
         model on a list of theta_star's rows.
         """
@@ -79,4 +79,4 @@ class ParamMemory:
         store = self.theta_star if store is None else store
         new = clamp(store[i], bound) + gamma * z
         store[i] = new
-        return new, clamp(new, bound)
+        return clamp(new, bound)

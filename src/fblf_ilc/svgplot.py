@@ -42,6 +42,8 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
     Non-finite and (for log scale) non-positive points are dropped.
     """
     x = [float(v) for v in x]
+    if len(x) != len(ys):
+        raise ValueError(f"{len(x)} x values and {len(ys)} ys")
     pts = [(xi, float(yi)) for xi, yi in zip(x, ys)
            if math.isfinite(float(yi)) and (not ylog or float(yi) > 0)]
     show_hline = hline is not None and (not ylog or hline > 0)

@@ -401,6 +401,15 @@ class TestMonitor:
                       scheme(scalar_model_i(), 1))
         assert [tr.L for tr in traces] == [None, None]
 
+    def test_no_traces_rejected(self):
+        # the check comes first, so it reads neither the model nor the
+        # scheme
+        model = scalar_model_i()
+        with pytest.raises(ValueError, match="^monitor_L got no traces$"):
+            monitor_L([], model, disc_cfg(), scheme(model, 1))
+        with pytest.raises(ValueError, match="^monitor_L got no traces$"):
+            monitor_L([], None, None, None)
+
 
 class TestRun:
     def test_k0_rejected(self):

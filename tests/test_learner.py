@@ -80,22 +80,22 @@ class TestGrid:
 class TestUpdate:
     def test_from_zero(self):
         m = mem()
-        star, hat = m.update_node(0, np.array([1.0]), gamma=0.5, bound=1.0)
-        assert star == pytest.approx(0.5)
+        hat = m.update_node(0, np.array([1.0]), gamma=0.5, bound=1.0)
+        assert m.theta_star[0] == pytest.approx(0.5)
         assert hat == pytest.approx(0.5)
 
     def test_clamp_on_read(self):
         m = mem()
         m.theta_star[0] = 0.9
-        star, hat = m.update_node(0, np.array([1.0]), gamma=0.5, bound=1.0)
-        assert star == pytest.approx(1.4)
+        hat = m.update_node(0, np.array([1.0]), gamma=0.5, bound=1.0)
+        assert m.theta_star[0] == pytest.approx(1.4)
         assert hat == pytest.approx(1.0)
 
     def test_previous_value_saturated_first(self):
         m = mem()
         m.theta_star[0] = 5.0
-        star, hat = m.update_node(0, np.array([0.0]), gamma=0.5, bound=1.0)
-        assert star == pytest.approx(1.0)
+        hat = m.update_node(0, np.array([0.0]), gamma=0.5, bound=1.0)
+        assert m.theta_star[0] == pytest.approx(1.0)
         assert hat == pytest.approx(1.0)
 
     def test_index_range(self):
@@ -136,7 +136,7 @@ class TestUpdate:
 
 class TestStore:
     """update_node on a list of theta_star's rows, as the engine runs it,
-    gives the results and rows of the default store, bit for bit."""
+    gives the theta_hat and rows of the default store, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.sampled_from([1, 2]),
@@ -161,7 +161,9 @@ class TestStore:
             out = got.update_node(i, z.item() if m == 1 else z, gamma,
                                   bound, shape.clamp, store)
             if m == 1:
-                assert all(type(x) is float for x in out)
+                assert type(out) is float and type(store[i]) is float
             assert np.array(out).tobytes() == np.array(expect).tobytes()
+            assert (np.array(store[i]).tobytes()
+                    == want.theta_star[i].tobytes())
         got.theta_star[:] = _table(store, got.theta_star.shape)
         assert got.theta_star.tobytes() == want.theta_star.tobytes()

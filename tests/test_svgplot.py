@@ -111,6 +111,18 @@ def test_markup_characters_in_text_are_escaped(tmp_path):
         assert text in texts
 
 
+@pytest.mark.parametrize("x, ys", [([0, 1, 2], [0.1, 0.2]),
+                                   ([0, 1], [0.1, 0.2, 0.3]),
+                                   ([], [1.0])])
+def test_mismatched_lengths_rejected(tmp_path, x, ys):
+    # no series is cut to the shorter length, and no file is written
+    path = tmp_path / "plot.svg"
+    with pytest.raises(ValueError, match=f"^{len(x)} x values and "
+                                         f"{len(ys)} ys$"):
+        svgplot.line_plot(path, x, "y", ys)
+    assert not path.exists()
+
+
 # Golden SHA-256 digests of whole SVG files, recorded before line_plot
 # wrote each element kind through one writer, so they pin its bytes:
 # attribute order, number formats and escaping.  The calls take log and
