@@ -21,28 +21,27 @@ _ZERO_TOL = 1e-9
 class SequenceTriple:
     r: np.ndarray
     s: np.ndarray
-    d: np.ndarray | None = None
+    d: np.ndarray | None = None  # None reads as zeros: Lemma 1
     d_bar: float | None = None
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
         s = np.asarray(self.s, dtype=float)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        if self.d is not None:
-            d = np.asarray(self.d, dtype=float)
-            object.__setattr__(self, "d", d)
-            if len(d) != len(r):
-                raise ValueError("d must match r in length")
+        d = np.asarray(np.zeros_like(r) if self.d is None else self.d,
+                       dtype=float)
+        for name, a in (("r", r), ("s", s), ("d", d)):
+            object.__setattr__(self, name, a)
+        if len(d) != len(r):
+            raise ValueError("d must match r in length")
         if len(r) != len(s):
             raise ValueError("r and s must have equal lengths")
         if len(r) == 0:
             raise ValueError("r and s are empty")
         if not math.isfinite(r[0]):
             raise ValueError("r[0] must be finite")
-        for name, a in (("r", r), ("s", s), ("d", self.d)):
+        for name, a in (("r", r), ("s", s), ("d", d)):
             # +-inf past r[0] is data (r_bounded reports it), NaN is not
-            if a is not None and np.isnan(a).any():
+            if np.isnan(a).any():
                 raise ValueError(f"{name}[{np.isnan(a).argmax()}] is NaN")
 
 
@@ -62,7 +61,14 @@ def _tail(a: np.ndarray) -> np.ndarray:
     return a[len(a) - w:]
 
 
-def _check(r, s, d, d_bar) -> LemmaVerdict:
+def lemma2_check(seq: SequenceTriple) -> LemmaVerdict:
+    """Verify r_k <= r_{k-1} - s_k + d_k and the residual-limited limsup.
+
+    A missing d reads as zeros, which is Lemma 1: r_k <= r_{k-1} - s_k.
+    The lemma's coupling hypothesis (s vanishes whenever r does) is not
+    checkable from finite data and is treated as an assumption.
+    """
+    r, s, d, d_bar = seq.r, seq.s, seq.d, seq.d_bar
     # inf - inf (NaN, a violation) or an overflow may occur past the first
     # violation, where a loop stopping there would not have computed it
     with np.errstate(invalid="ignore", over="ignore"):
@@ -79,17 +85,6 @@ def _check(r, s, d, d_bar) -> LemmaVerdict:
         s_vanishes = bool(s_tail <= _ZERO_TOL)
     return LemmaVerdict(holds, first, s_tail, r_bounded, bound_respected,
                         s_vanishes)
-
-
-def lemma2_check(seq: SequenceTriple) -> LemmaVerdict:
-    """Verify r_k <= r_{k-1} - s_k + d_k and the residual-limited limsup.
-
-    A missing d reads as zeros, which is Lemma 1: r_k <= r_{k-1} - s_k.
-    The lemma's coupling hypothesis (s vanishes whenever r does) is not
-    checkable from finite data and is treated as an assumption.
-    """
-    d = np.zeros_like(seq.r) if seq.d is None else seq.d
-    return _check(seq.r, seq.s, d, seq.d_bar)
 
 
 lemma1_check = lemma2_check  # Lemma 1 is Lemma 2 with d = 0

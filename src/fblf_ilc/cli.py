@@ -242,14 +242,19 @@ def cmd_compare_blf(args) -> int:
 
 
 def _column(rows, name) -> list[float]:
-    """One CSV column as floats; a missing cell or long row names its index."""
+    """One CSV column as floats; a bad cell or a long row names its index."""
     values = []
     for k, row in enumerate(rows):
         if None in row:  # DictReader files the extra fields under None
             raise ValueError(f"row {k} has more fields than the header")
-        if row[name] is None:
+        cell = row[name]
+        if cell is None or not cell.strip():
             raise ValueError(f"{name}[{k}] is missing")
-        values.append(float(row[name]))
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(
+                f"{name}[{k}] is not a number: {cell!r}") from None
     return values
 
 
@@ -279,8 +284,8 @@ def cmd_check_lemmas(args) -> int:
     except (csv.Error, ValueError, KeyError, TypeError) as exc:
         return _fail(1, f"malformed CSV: {exc}")
     verdict = analysis.lemma2_check(seq)
-    which = ("lemma 1 (no residual)" if seq.d is None
-             else "lemma 2 (with residual)")
+    which = ("lemma 2 (with residual)" if "d" in columns
+             else "lemma 1 (no residual)")
     print(f"{which}: inequality "
           f"{'holds' if verdict.inequality_holds else 'VIOLATED'}"
           + ("" if verdict.first_violation is None

@@ -159,7 +159,7 @@ class ErrorModelII:
         w, dot = self.uncertainty.w, shape.dot
 
         def value(e, t):
-            return 0.0 + dot(e, matvec(P, e))
+            return dot(e, matvec(P, e))  # P > 0: never -0.0
 
         def grad(e, t):
             return 0.0 + matvec(BtP, e)

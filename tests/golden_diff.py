@@ -1,0 +1,236 @@
+"""Move report: the golden cases of tests/test_golden.py here and in OTHER.
+
+    python tests/golden_diff.py OTHER
+
+OTHER is another checkout's root.  Each checkout's package runs every
+golden case (K = 3) in its own subprocess, with its src first on
+sys.path, and prints each iteration's e, u, V, theta_hat and L as float
+reprs, its breach node and check_delta_L's verdicts, as JSON.  For each
+case whose output differs, the report gives the fields that moved with
+the largest difference of each in ulps, the breach nodes on each side,
+the delta-L verdicts that changed, and each side's largest distance
+from tests/oracle.py's exact run (e, V and theta_hat, relative to each
+trace's max, over the rows both computed).  The exact run reads this
+checkout's float inputs.  The CHAOTIC cases amplify rounding to O(1)
+over a run, so each side is judged there by the step check: every step
+restarted from that side's own e and theta*.
+
+Exit 0 when no case moved, 1 when one did, 2 when OTHER has no
+src/fblf_ilc or its run fails.  Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from decimal import Decimal
+from pathlib import Path
+
+import numpy as np
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+K = 3
+FIELDS = ("e", "u", "V", "theta_hat", "L")
+EXACT_FIELDS = ("e", "V", "theta_hat")
+# tests/test_oracle.py's CHAOTIC: left out of its whole-run check
+CHAOTIC = {("I", 2, mode, 0.01985, 200) for mode in ("disc", "cont")}
+
+
+def golden_cases() -> list[tuple]:
+    """(model, theorem, mode, bound, N) of every GOLDEN and MORE_GOLDEN
+    digest; GOLDEN runs Theorem 1 in disc mode, Theorem 2 in cont, N = 200."""
+    tables = {}
+    for node in ast.parse((TESTS / "test_golden.py").read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       ast.Name):
+            tables[node.targets[0].id] = node.value
+    golden, more = (ast.literal_eval(tables[name])
+                    for name in ("GOLDEN", "MORE_GOLDEN"))
+    return sorted([(model, theorem, "disc" if theorem == 1 else "cont",
+                    bound, 200) for model, theorem, bound in golden]
+                  + list(more))
+
+
+def emit(src: str) -> None:
+    """Print every golden case's run by the package under src as JSON."""
+    sys.path.insert(0, src)
+    import fblf_ilc
+    if Path(src).resolve() not in Path(fblf_ilc.__file__).resolve().parents:
+        sys.exit(f"fblf_ilc was imported from {fblf_ilc.__file__}")
+    from fblf_ilc import (ControllerConfig, Mode, check_delta_L, run,
+                          scalar_model_i, scalar_model_ii)
+    models = {"I": scalar_model_i, "II": scalar_model_ii}
+
+    def reprs(a):
+        return [repr(x) for x in a.ravel().tolist()]
+
+    out = []
+    for case in golden_cases():
+        model, theorem, mode, bound, N = case
+        cfg = ControllerConfig(mode=Mode(mode), bound=bound, gamma=2.0,
+                               theta_bar=1.0,
+                               eps=1e-2 if mode == "cont" else None)
+
+        def run_k(k):
+            return run(models[model](), cfg, K=k, N=N, theorem=theorem)
+        result = run_k(K)
+        iterations = [dict({key: reprs(getattr(tr, key)) for key in FIELDS},
+                           breach=tr.breach_node) for tr in result.traces]
+        if case in CHAOTIC:  # theta* before each iteration, for restarts
+            for k, it in enumerate(iterations):
+                it["theta_star"] = (reprs(run_k(k).memory.theta_star) if k
+                                    else ["0.0"] * (N + 1))
+        verdicts = [[v.k, repr(v.delta_L), repr(v.required), v.passed]
+                    for v in check_delta_L(result)]
+        out.append({"case": case, "iterations": iterations,
+                    "delta_L": verdicts})
+    json.dump(out, sys.stdout)
+
+
+def runs(roots) -> list:
+    """Each root's emitted cases, its children running side by side; a
+    child that fails raises RuntimeError with its stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        children = []
+        for n, root in enumerate(roots):
+            out, err = Path(tmp) / f"{n}.json", Path(tmp) / f"{n}.err"
+            with open(out, "w") as fo, open(err, "w") as fe:
+                children.append((root, out, err, subprocess.Popen(
+                    [sys.executable, __file__, "--emit",
+                     str(Path(root) / "src")], stdout=fo, stderr=fe)))
+        codes = [proc.wait() for *_, proc in children]
+        for (root, _, err, _), code in zip(children, codes):
+            if code:
+                raise RuntimeError(f"{root}: exit {code}: {err.read_text()}")
+        return [json.loads(out.read_text()) for _, out, _, _ in children]
+
+
+def ordinals(reprs) -> list[int]:
+    """Each float's place in the order of all floats, so that two places
+    differ by the ulps between their floats; -0.0 sits just below +0.0."""
+    i = np.array([float(x) for x in reprs]).view(np.int64)
+    return (i ^ ((i >> 63) & np.int64((1 << 63) - 1))).tolist()
+
+
+def moved_fields(here, other) -> list[str]:
+    """'field N ulps' for each field that differs in any iteration."""
+    lines = []
+    for key in FIELDS:
+        pairs = [(a, b) for h, o in zip(here, other)
+                 for a, b in zip(h[key], o[key]) if a != b]
+        if not pairs:
+            continue
+        fin = [(a, b) for a, b in pairs if "nan" not in (a, b)]
+        nan = len(pairs) - len(fin)
+        most = max((abs(a - b) for a, b in zip(*map(ordinals, zip(*fin)))),
+                   default=0)
+        lines.append(f"{key} {most} ulps"
+                     + (f" (+{nan} NaN against a number)" if nan else ""))
+    return lines
+
+
+def changed_verdicts(here, other) -> list[str]:
+    def passed(verdicts):
+        return {v[0]: "pass" if v[3] else "FAIL" for v in verdicts}
+    h, o = passed(here), passed(other)
+    return [f"k={k}: {h.get(k, 'none')} -> {o.get(k, 'none')}"
+            for k in sorted(h.keys() | o.keys()) if h.get(k) != o.get(k)]
+
+
+def exact_scheme(case):
+    """tests/oracle.py's scheme on this checkout's float inputs."""
+    import oracle
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from fblf_ilc import TimeGrid, plant
+    model, theorem, mode, bound, N = case
+    m = {"I": plant.scalar_model_i, "II": plant.scalar_model_ii}[model]()
+    grid = TimeGrid(T=m.T, N=N)
+    dt = grid.dt
+    return oracle.Scheme(model, theorem, mode,
+                         plant._desired(m, grid.times), dt, 0.5 * dt,
+                         dt / 6.0, plant.value_bound(m, bound), 2.0, 1.0,
+                         1e-2 if mode == "cont" else None)
+
+
+def distance(iterations, exact_rows) -> float:
+    """Largest relative distance of e, V and theta_hat from the exact
+    rows, over the rows both computed."""
+    worst = 0.0
+    for it, rows in zip(iterations, exact_rows):
+        for key in EXACT_FIELDS:
+            want = rows[key]
+            top = max(map(abs, want), default=Decimal(0)) or Decimal(1)
+            got = [float(x) for x in it[key][:len(want)]]
+            diff = max((abs(Decimal(g) - x) for g, x in zip(got, want)
+                        if not math.isnan(g)), default=Decimal(0))
+            worst = max(worst, float(diff / top))
+    return worst
+
+
+def oracle_line(case, here, other) -> str:
+    scheme = exact_scheme(case)
+    if case not in CHAOTIC:
+        rows = scheme.run(K)
+        return (f"oracle distance (whole run): here "
+                f"{distance(here, rows):.3g}, other "
+                f"{distance(other, rows):.3g}")
+
+    def step(side):
+        restart = [([float(x) for x in it["e"]],
+                    [float(x) for x in it["theta_star"]]) for it in side]
+        return distance(side, scheme.run(K, restart))
+    return (f"oracle distance (step check): here {step(here):.3g}, "
+            f"other {step(other):.3g}")
+
+
+def report(here_cases, other_cases) -> int:
+    unchanged = 0
+    for h, o in zip(here_cases, other_cases):
+        if h == o:
+            unchanged += 1
+            continue
+        case = tuple(h["case"])
+        model, theorem, mode, bound, N = case
+        hi, oi = h["iterations"], o["iterations"]
+        print(f"model {model}, theorem {theorem}, {mode}, bound {bound!r},"
+              f" N = {N}: moved")
+        print("  fields: " + (", ".join(moved_fields(hi, oi)) or "none"))
+        print(f"  breach nodes: here {[it['breach'] for it in hi]}, "
+              f"other {[it['breach'] for it in oi]}")
+        verdicts = changed_verdicts(h["delta_L"], o["delta_L"])
+        print("  delta-L verdicts changed: " + ("; ".join(verdicts)
+                                                or "none"))
+        print("  " + oracle_line(case, hi, oi))
+    total = len(here_cases)
+    print(f"{unchanged} of {total} cases unchanged")
+    return 0 if unchanged == total else 1
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("other", help="root of another checkout")
+    p.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.emit:
+        emit(args.other)
+        return 0
+    if not (Path(args.other) / "src" / "fblf_ilc").is_dir():
+        print(f"error: {args.other} has no src/fblf_ilc", file=sys.stderr)
+        return 2
+    try:
+        here, other = runs([ROOT, args.other])
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return report(here, other)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -816,6 +816,19 @@ class TestCheckLemmas:
         assert capsys.readouterr().out == stdout
         assert len(seqs) == 1
 
+    def test_r_s_file_reads_d_as_zeros(self, tmp_path, monkeypatch):
+        seqs, check = [], analysis.lemma2_check
+
+        def recorded(seq):
+            seqs.append(seq)
+            return check(seq)
+
+        monkeypatch.setattr(analysis, "lemma2_check", recorded)
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text("r,s\n1.0,0.0\n0.5,0.4\n")
+        assert main(["check-lemmas", str(csv_path)]) == 0
+        assert seqs[0].d.dtype == float and seqs[0].d.tolist() == [0.0, 0.0]
+
     def test_malformed_exit_1(self, tmp_path, capsys):
         csv_path = tmp_path / "seq.csv"
         csv_path.write_text("a,b\n1,2\n")
@@ -824,7 +837,12 @@ class TestCheckLemmas:
     @pytest.mark.parametrize("text, message", [
         ("r,s,d\n", "no data rows"),
         ("r,s,d\n1.0,0.1,0\n0.5,0.1\n", "d[1] is missing"),
-    ], ids=["header-only", "missing-d"])
+        ("r,s\n1.0,0.1\n,0.1\n", "r[1] is missing"),
+        ("r,s,d\n1.0,0.1,0\n1.0,0.1,\n", "d[1] is missing"),
+        ("r,s\n1.0,0.1\n1.0, \t\n", "s[1] is missing"),
+        ("r,s\n1.0,0.1\nx,0.1\n", "r[1] is not a number: 'x'"),
+    ], ids=["header-only", "missing-d", "empty-r", "empty-d", "blank-s",
+            "not-a-number"])
     def test_bad_rows_named(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "seq.csv"
         csv_path.write_text(text)

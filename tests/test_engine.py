@@ -944,7 +944,9 @@ class TestFloatShape:
     def test_dot_and_matvec(self):
         # each model type's terms on floats, bare products under one 0.0
         # per term, give the bits of its terms on one-element arrays,
-        # where numpy's dot and matmul add each product to 0.0
+        # where numpy's dot and matmul add each product to 0.0; model
+        # II's value e(Pe) needs no 0.0 for the P > 0 its construction
+        # admits, since e's sign enters twice
         def w(x, t):
             return -0.0 * (x - x)  # -0.0 in x's form, so u + w is u
 
@@ -969,7 +971,9 @@ class TestFloatShape:
                 arr_rhs_i, arr_value, arr_grad, arr_rhs = terms(a, b, _ARRAY)
                 for e in SIGNED:
                     E = np.array([e])
-                    assert same_bits(value(e, 0.0), arr_value(E, 0.0)), (a, e)
+                    if a > 0.0:
+                        assert same_bits(value(e, 0.0), arr_value(E, 0.0)), (
+                            a, e)
                     assert same_bits(grad(e, 0.0), arr_grad(E, 0.0)), (a, b, e)
                     for u in SIGNED:
                         U = np.array([u])
