@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierKind
+from .barrier import BarrierDomainError, BarrierKind
 
 State = float | np.ndarray  # the state the loop passes, see float_native
 
@@ -186,7 +186,10 @@ def scheme(model, theorem: int) -> Scheme:
 
 def value_bound(model, bound: float) -> float:
     """The bound on V, from the value of the model type's bound_key."""
-    return bound ** model.bound_power
+    v = bound ** model.bound_power
+    if not 0 < v < math.inf:  # b_e ** 2 is 0.0 below about 1.57e-162
+        raise BarrierDomainError(f"{model.bound_key} = {bound}: V's bound {v}")
+    return v
 
 
 def float_native(model) -> bool:

@@ -1,4 +1,4 @@
-"""Move report: the golden cases of tests/test_golden.py here and in OTHER.
+"""Move report: the golden cases of tests/golden_cases.py here and in OTHER.
 
     python tests/golden_diff.py OTHER
 
@@ -22,7 +22,6 @@ src/fblf_ilc or its run fails.  Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import math
 import subprocess
@@ -33,28 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-TESTS = Path(__file__).resolve().parent
-ROOT = TESTS.parent
-K = 3
+import golden_cases
+from golden_cases import CASES, CHAOTIC, K
+
+ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("e", "u", "V", "theta_hat", "L")
 EXACT_FIELDS = ("e", "V", "theta_hat")
-# tests/test_oracle.py's CHAOTIC: left out of its whole-run check
-CHAOTIC = {("I", 2, mode, 0.01985, 200) for mode in ("disc", "cont")}
-
-
-def golden_cases() -> list[tuple]:
-    """(model, theorem, mode, bound, N) of every GOLDEN and MORE_GOLDEN
-    digest; GOLDEN runs Theorem 1 in disc mode, Theorem 2 in cont, N = 200."""
-    tables = {}
-    for node in ast.parse((TESTS / "test_golden.py").read_text()).body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
-                                                       ast.Name):
-            tables[node.targets[0].id] = node.value
-    golden, more = (ast.literal_eval(tables[name])
-                    for name in ("GOLDEN", "MORE_GOLDEN"))
-    return sorted([(model, theorem, "disc" if theorem == 1 else "cont",
-                    bound, 200) for model, theorem, bound in golden]
-                  + list(more))
 
 
 def emit(src: str) -> None:
@@ -63,22 +46,18 @@ def emit(src: str) -> None:
     import fblf_ilc
     if Path(src).resolve() not in Path(fblf_ilc.__file__).resolve().parents:
         sys.exit(f"fblf_ilc was imported from {fblf_ilc.__file__}")
-    from fblf_ilc import (ControllerConfig, Mode, check_delta_L, run,
-                          scalar_model_i, scalar_model_ii)
-    models = {"I": scalar_model_i, "II": scalar_model_ii}
+    from fblf_ilc import check_delta_L, run
 
     def reprs(a):
         return [repr(x) for x in a.ravel().tolist()]
 
     out = []
-    for case in golden_cases():
-        model, theorem, mode, bound, N = case
-        cfg = ControllerConfig(mode=Mode(mode), bound=bound, gamma=2.0,
-                               theta_bar=1.0,
-                               eps=1e-2 if mode == "cont" else None)
+    for case in CASES:
+        N = case[4]
 
         def run_k(k):
-            return run(models[model](), cfg, K=k, N=N, theorem=theorem)
+            return run(golden_cases.model(case), golden_cases.config(case),
+                       K=k, N=N, theorem=case[1])
         result = run_k(K)
         iterations = [dict({key: reprs(getattr(tr, key)) for key in FIELDS},
                            breach=tr.breach_node) for tr in result.traces]
@@ -143,22 +122,6 @@ def changed_verdicts(here, other) -> list[str]:
             for k in sorted(h.keys() | o.keys()) if h.get(k) != o.get(k)]
 
 
-def exact_scheme(case):
-    """tests/oracle.py's scheme on this checkout's float inputs."""
-    import oracle
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
-    from fblf_ilc import TimeGrid, plant
-    model, theorem, mode, bound, N = case
-    m = {"I": plant.scalar_model_i, "II": plant.scalar_model_ii}[model]()
-    grid = TimeGrid(T=m.T, N=N)
-    dt = grid.dt
-    return oracle.Scheme(model, theorem, mode,
-                         plant._desired(m, grid.times), dt, 0.5 * dt,
-                         dt / 6.0, plant.value_bound(m, bound), 2.0, 1.0,
-                         1e-2 if mode == "cont" else None)
-
-
 def distance(iterations, exact_rows) -> float:
     """Largest relative distance of e, V and theta_hat from the exact
     rows, over the rows both computed."""
@@ -175,7 +138,7 @@ def distance(iterations, exact_rows) -> float:
 
 
 def oracle_line(case, here, other) -> str:
-    scheme = exact_scheme(case)
+    scheme = golden_cases.exact_scheme(case)
     if case not in CHAOTIC:
         rows = scheme.run(K)
         return (f"oracle distance (whole run): here "

@@ -630,6 +630,7 @@ class TestSimulate:
         ("scalar-I", ["b_V = 0.5", "theta_bar = 1e300"], 0),
         ("scalar-I", ["b_V = 0.5", "mode = cont", "eps = 1e-300"], 0),
         ("scalar-I", ["b_V = 0.5", "mode = cont", "eps = 1e300"], 0),
+        ("scalar-II", ["b_e = 1e-170"], 4),  # b_e ** 2 underflows to 0.0
     ])
     def test_extreme_value_exit_code(self, tmp_path, capsys, model, fields,
                                      code):

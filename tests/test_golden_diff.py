@@ -1,20 +1,28 @@
 """tests/golden_diff.py, the move report: no case moves against this
 checkout, and RK4's k3 weight 2.0 -> 2.0000001 moves every case, with e,
 V and theta_hat among the fields and the mutant farther from the exact
-run than this checkout."""
+run than this checkout, and V's bound scaled by 0.9 moves the node where
+a coarse-grid run breaches."""
 
 import re
 import shutil
 from pathlib import Path
 
 import golden_diff
-import test_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_chaotic_cases_are_test_oracles():
-    assert golden_diff.CHAOTIC == test_oracle.CHAOTIC
+def mutant(tmp_path, name, old, new) -> str:
+    """A copy of this checkout's src whose fblf_ilc/name has its one old
+    replaced by new."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "fblf_ilc" / name
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return str(tmp_path)
 
 
 def test_this_checkout_unchanged(capsys):
@@ -23,13 +31,8 @@ def test_this_checkout_unchanged(capsys):
 
 
 def test_rk4_weight_mutant_moves(tmp_path, capsys):
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    engine = tmp_path / "src" / "fblf_ilc" / "engine.py"
-    text = engine.read_text()
-    assert text.count("2.0 * k3") == 1
-    engine.write_text(text.replace("2.0 * k3", "2.0000001 * k3"))
-    assert golden_diff.main([str(tmp_path)]) == 1
+    other = mutant(tmp_path, "engine.py", "2.0 * k3", "2.0000001 * k3")
+    assert golden_diff.main([other]) == 1
     out = capsys.readouterr().out
     assert out.endswith("\n0 of 18 cases unchanged\n")
     fields = re.findall(r"^  fields: (.*)$", out, re.M)
@@ -41,6 +44,18 @@ def test_rk4_weight_mutant_moves(tmp_path, capsys):
                            out, re.M)
     assert len(distances) == 18
     assert all(float(here) < float(other) for here, other in distances)
+
+
+def test_bound_mutant_moves_breach_node(tmp_path, capsys):
+    other = mutant(tmp_path, "plant.py", "bound ** model.bound_power",
+                   "0.9 * bound ** model.bound_power")
+    assert golden_diff.main([other]) == 1
+    out = capsys.readouterr().out
+    case = out.split("model I, theorem 1, disc, bound 0.05, N = 10: moved\n")
+    assert len(case) == 2
+    assert case[1].splitlines()[1:3] == [
+        "  breach nodes: here [None, 5, 4], other [None, 6, 4]",
+        "  delta-L verdicts changed: none"]
 
 
 def test_no_package_exit_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The float closed loop against tests/oracle.py's exact recomputation.
 
-On the golden configs of tests/test_golden.py (K = 3), the engine's e,
+On the golden cases of tests/golden_cases.py (K = 3), the engine's e,
 V and theta_hat lie within REL of the oracle's, relative to each
 trace's max of the field, and each iteration breaches at the oracle's
 node: over a whole run, and over each step restarted from the engine's
@@ -26,45 +26,28 @@ from decimal import Decimal
 
 import pytest
 
-import oracle
+import golden_cases
 from fblf_ilc import plant
-from fblf_ilc.controller import ControllerConfig
 from fblf_ilc.engine import run_iteration
 from fblf_ilc.learner import ParamMemory, TimeGrid
-from test_golden import GOLDEN, MODELS, MORE_GOLDEN
+from golden_cases import CASES, CHAOTIC
 
 REL = 1e-13
 FIELDS = ("e", "V", "theta_hat")
 
-# (model, theorem, mode, bound, N): GOLDEN runs Theorem 1 in disc mode
-# and Theorem 2 in cont mode, both at N = 200
-CONFIGS = sorted(
-    [(model, theorem, "disc" if theorem == 1 else "cont", bound, 200)
-     for model, theorem, bound in GOLDEN] + list(MORE_GOLDEN))
-CHAOTIC = {("I", 2, mode, 0.01985, 200) for mode in ("disc", "cont")}
 
-
-def engine_and_oracle(model, theorem, mode, bound, N, K=3):
+def engine_and_oracle(case):
     """K iterations of the engine, the restart rows of each (its e rows,
     and its theta* rows before it), and the oracle on the same floats."""
-    eps = 1e-2 if mode == "cont" else None
-    cfg = ControllerConfig(mode=mode, bound=bound, gamma=2.0, theta_bar=1.0,
-                           eps=eps)
-    m = MODELS[model]()
-    grid = TimeGrid(T=m.T, N=N)
-    memory = ParamMemory(grid, m=1)
-    xds = plant._desired(m, grid.times)
+    m, cfg = golden_cases.model(case), golden_cases.config(case)
+    memory = ParamMemory(TimeGrid(T=m.T, N=case[4]), m=1)
+    scheme = plant.scheme(m, case[1])
     traces, restart = [], []
-    for k in range(K):
+    for k in range(golden_cases.K):
         star_rows = memory.theta_star[:, 0].tolist()
-        traces.append(run_iteration(m, cfg, memory, plant.scheme(m, theorem),
-                                    k=k, xd_table=xds))
+        traces.append(run_iteration(m, cfg, memory, scheme, k=k))
         restart.append((traces[-1].e[:, 0].tolist(), star_rows))
-    dt = grid.dt
-    exact = oracle.Scheme(model, theorem, mode, xds, dt, 0.5 * dt, dt / 6.0,
-                          plant.value_bound(m, bound), cfg.gamma,
-                          cfg.theta_bar, eps)
-    return traces, restart, exact
+    return traces, restart, golden_cases.exact_scheme(case)
 
 
 def rel_errors(tr, rows):
@@ -90,14 +73,15 @@ def check(traces, want):
 
 
 @pytest.mark.parametrize("model, theorem, mode, bound, N",
-                         [c for c in CONFIGS if c not in CHAOTIC])
+                         [c for c in CASES if c not in CHAOTIC])
 def test_run_within_bound_of_exact_run(model, theorem, mode, bound, N):
-    traces, _, exact = engine_and_oracle(model, theorem, mode, bound, N)
+    traces, _, exact = engine_and_oracle((model, theorem, mode, bound, N))
     check(traces, exact.run(len(traces)))
 
 
-@pytest.mark.parametrize("model, theorem, mode, bound, N", CONFIGS)
+@pytest.mark.parametrize("model, theorem, mode, bound, N", CASES)
 def test_each_step_within_bound_of_exact_step(model, theorem, mode, bound,
                                               N):
-    traces, restart, exact = engine_and_oracle(model, theorem, mode, bound, N)
+    traces, restart, exact = engine_and_oracle((model, theorem, mode, bound,
+                                                N))
     check(traces, exact.run(len(traces), restart))
