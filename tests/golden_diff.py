@@ -23,21 +23,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import subprocess
 import sys
 import tempfile
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
 import golden_cases
+import oracle
 from golden_cases import CASES, CHAOTIC, K
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("e", "u", "V", "theta_hat", "L")
-EXACT_FIELDS = ("e", "V", "theta_hat")
 
 
 def emit(src: str) -> None:
@@ -123,18 +121,10 @@ def changed_verdicts(here, other) -> list[str]:
 
 
 def distance(iterations, exact_rows) -> float:
-    """Largest relative distance of e, V and theta_hat from the exact
-    rows, over the rows both computed."""
-    worst = 0.0
-    for it, rows in zip(iterations, exact_rows):
-        for key in EXACT_FIELDS:
-            want = rows[key]
-            top = max(map(abs, want), default=Decimal(0)) or Decimal(1)
-            got = [float(x) for x in it[key][:len(want)]]
-            diff = max((abs(Decimal(g) - x) for g, x in zip(got, want)
-                        if not math.isnan(g)), default=Decimal(0))
-            worst = max(worst, float(diff / top))
-    return worst
+    """Largest oracle.distance of e, V and theta_hat from the exact rows."""
+    return max((oracle.distance([float(x) for x in it[key]], rows[key])
+                for it, rows in zip(iterations, exact_rows)
+                for key in oracle.FIELDS), default=0.0)
 
 
 def oracle_line(case, here, other) -> str:

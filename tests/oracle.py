@@ -14,10 +14,14 @@ spells its own barrier derivatives, robust term and learning law.
 
 from __future__ import annotations
 
+import math
 from decimal import Context, Decimal, localcontext
 
 _CTX = Context(prec=60)
 _Z_ZERO = Decimal(1e-300)  # the float 1e-300, exactly
+
+# the rows of a trace that the exact run is compared on
+FIELDS = ("e", "V", "theta_hat")
 
 # the learning gain dB/dV, B of the gain kind, at V = v below bound b
 D1 = {
@@ -32,6 +36,15 @@ GAIN = {("I", 1): "FII", ("I", 2): "FV", ("II", 1): "FI", ("II", 2): "FV"}
 # the gradient of the constrained value V = e^2/2: model I's LgV = e,
 # model II's B'Pe with P = 1/2 and B = 1
 GRAD = {"I": lambda e: e, "II": lambda e: e / 2}
+
+
+def distance(got, exact) -> float:
+    """max |got - exact| / max |exact| over the rows both hold (over 1 when
+    every exact row is 0); a NaN in the floats got is skipped."""
+    top = max(map(abs, exact), default=Decimal(0)) or Decimal(1)
+    diff = max((abs(Decimal(g) - x) for g, x in zip(got, exact)
+                if not math.isnan(g)), default=Decimal(0))
+    return float(diff / top)
 
 
 class Breach(Exception):

@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -121,11 +124,14 @@ class TestConfigParsing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_nonpositive_bound_names_field(self, tmp_path):
-        path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",
-                                                          "b_V = -1"))
-        with pytest.raises(ConfigError, match="b_V"):
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_nonpositive_bound_names_field(self, tmp_path, capsys, raw):
+        path = write_config(tmp_path, good_config_with("b_V", raw))
+        message = f"{path}: field 'b_V' must be positive, got {float(raw)}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(path)
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_cont_requires_eps(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("mode = disc",
@@ -341,10 +347,6 @@ class TestReadmeFieldTable:
 
 
 class TestSimulate:
-    def test_missing_config_exits_1(self, tmp_path, capsys):
-        assert main(["simulate", str(tmp_path / "absent.cfg")]) == 1
-        assert "error" in capsys.readouterr().err
-
     def test_directory_config_is_not_a_file(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
@@ -371,12 +373,6 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config file {path}: ")
         assert "Permission denied" in err and err.count("\n") == 1
-
-    def test_bad_bound_exits_1(self, tmp_path, capsys):
-        path = write_config(tmp_path, GOOD_CONFIG.replace("b_V = 0.5",
-                                                          "b_V = 0"))
-        assert main(["simulate", str(path)]) == 1
-        assert "b_V" in capsys.readouterr().err
 
     def test_summary_row_count(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)
@@ -699,9 +695,6 @@ class TestCompareBlf:
         assert (tmp_path / "blf_report.csv").is_file()
         assert "holds" in capsys.readouterr().out
 
-    def test_rejects_nonpositive(self, tmp_path, capsys):
-        assert main(["compare-blf", "-1.0", "--out", str(tmp_path)]) == 1
-
     # the bytes the csv module's writer gave blf_report.csv; at 1e14
     # LII <= FIII fails its verdict, and the report is written all the same
     @pytest.mark.parametrize("bounds, code, digest", [
@@ -717,9 +710,11 @@ class TestCompareBlf:
         data = (tmp_path / "blf_report.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
-    # argparse reads only -<digits> and -<digits>.<digits> as negative
-    # numbers and took these for unknown options, a two-line usage error
-    @pytest.mark.parametrize("bound", ["-1e-3", "-inf", "-5e-324", "-1E3"])
+    # argparse reads -1.0 as a negative number, but only -<digits> and
+    # -<digits>.<digits>: it took the others for unknown options, a
+    # two-line usage error
+    @pytest.mark.parametrize("bound", ["-1e-3", "-inf", "-5e-324", "-1E3",
+                                       "-1.0"])
     @pytest.mark.parametrize("layout", ["alone", "after 0.5", "--out first"])
     def test_rejects_negative_bound_in_one_line(self, tmp_path, capsys,
                                                 bound, layout):
@@ -761,14 +756,16 @@ class TestCompareBlf:
         ("1e-300", 4), ("5e-324", 4), ("1e-160", 4), ("1e-110", 4),
         ("1e13", 0), ("0.5", 0)])
     def test_bound_exit_code(self, tmp_path, capsys, bound, code):
-        assert main(["compare-blf", bound, "--out", str(tmp_path)]) == code
+        out = tmp_path / "report"
+        assert main(["compare-blf", bound, "--out", str(out)]) == code
         err = capsys.readouterr().err
         if code == 4:
             assert err.startswith("error: numerical failure: ")
             assert err.count("\n") == 1
-            assert not (tmp_path / "blf_report.csv").exists()
+            assert not out.exists()
         else:
             assert err == ""
+            assert [p.name for p in out.iterdir()] == ["blf_report.csv"]
 
 
 class TestCheckLemmas:
@@ -882,9 +879,6 @@ class TestCheckLemmas:
         assert main(["check-lemmas", str(marked)]) == 0
         assert capsys.readouterr() == want
 
-    def test_missing_file_exit_1(self, tmp_path):
-        assert main(["check-lemmas", str(tmp_path / "absent.csv")]) == 1
-
     def test_directory_is_not_a_file(self, tmp_path, capsys):
         assert main(["check-lemmas", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
@@ -967,6 +961,32 @@ class TestUsage:
     def test_help_exit_0(self, capsys, argv):
         assert main(argv) == 0
         assert "usage: fblf-ilc" in capsys.readouterr().out
+
+
+class TestProcess:
+    """The module run as a program: its __main__ guard hands main's exit
+    code to the process."""
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, path]) if path else src)
+        return subprocess.run([sys.executable, "-m", "fblf_ilc.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    def test_exit_codes(self, tmp_path):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text("r,s\n1,1\n2,1\n3,1\n")
+        done = self.run("check-lemmas", str(csv_path))
+        assert done.returncode == 3
+        assert ("lemma 1 (no residual): inequality VIOLATED (first violation "
+                "at k=1)\n") in done.stdout
+        absent = tmp_path / "absent.cfg"
+        done = self.run("simulate", str(absent))
+        assert done.returncode == 1
+        assert done.stderr == f"error: config file not found: {absent}\n"
 
 
 # The CLI contract, as properties over drawn inputs: no exception escapes
