@@ -19,6 +19,9 @@ _ZERO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SequenceTriple:
+    """r, s and d as float arrays; a d of None is stored as zeros, which
+    is Lemma 1.  Empty or unequal lengths, a first r that is not finite,
+    and a NaN anywhere raise ValueError."""
     r: np.ndarray
     s: np.ndarray
     d: np.ndarray | None = None  # None reads as zeros: Lemma 1
@@ -69,6 +72,7 @@ def lemma2_check(seq: SequenceTriple) -> LemmaVerdict:
     checkable from finite data and is treated as an assumption.
     """
     r, s, d, d_bar = seq.r, seq.s, seq.d, seq.d_bar
+    # one vector comparison, with a per-k loop's arithmetic in its order;
     # inf - inf (NaN, a violation) or an overflow may occur past the first
     # violation, where a loop stopping there would not have computed it
     with np.errstate(invalid="ignore", over="ignore"):
@@ -102,7 +106,9 @@ class ConvergenceMetrics:
 
 def convergence_metrics(result: RunResult, eps: float, T: float) -> ConvergenceMetrics:
     """Tail-window limsup of the constrained quantity against the
-    smoothed scheme's residual bound, plus the implied error radius."""
+    smoothed scheme's residual bound, plus the implied error radius.
+    An eps or T that is not positive and finite (a Theorem-1 config's
+    eps is None) raises ValueError naming it."""
     for name, value in (("eps", eps), ("T", T)):
         if value is None or not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")

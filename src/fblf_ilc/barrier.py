@@ -38,6 +38,7 @@ class BarrierKind(Enum):
 
 
 def _check_bound(b):
+    """Every entry point checks b first: b = inf raises too."""
     if not 0 < b < math.inf:
         raise BarrierDomainError(
             f"barrier bound must be positive and finite, got {b}")
@@ -61,12 +62,13 @@ def _cube(x):
 
 
 # value, d/dV, d2/dV2 for each kind; V is an array or a float, b a scalar.
-# The engine calls the value and d1 forms directly, so their spelling
-# fixes its output bit for bit: b * b and b ** 2 round differently for
-# some b.  The d2 forms spell the powers of x = b - V as products:
-# numpy's array x ** 3 costs about five times x * x * x, and Python's pow
-# rounds some squares and cubes apart from numpy's array loops, while
-# IEEE products round the same on a float and an array.
+# The engine calls the value and d1 forms directly, never d2, so their
+# spelling fixes its output bit for bit: b * b and b ** 2 round
+# differently for some b.  The d2 forms spell the powers of x = b - V
+# as products: numpy's array x ** 3 costs about five times x * x * x,
+# and Python's pow rounds some squares and cubes apart from numpy's
+# array loops, while IEEE products round the same on a float and an
+# array.
 FORMS = {
     BarrierKind.LI: (
         lambda V, b: np.log(b / (b - V)),
@@ -109,17 +111,22 @@ FORMS = {
 # Samples per block of an array input.  A form's temporaries for one
 # block (256 KB each) stay in a core's cache, where a whole 2^20-sample
 # array writes several fresh 8 MB temporaries per form to memory.
-# 2^15 measured fastest of 2^12..2^17 (README's barrier bullet).
+# 2^15 measured fastest of 2^12..2^17 (process time over 7 interleaved
+# rounds on a 2-vCPU Xeon).
 _BLOCK = 1 << 15
 
 
 def _apply(idx, kind, V, b):
+    """Form idx of kind at V, in V's shape.  Either path gives the bits of
+    the form run on the whole array, for strided, Fortran-ordered and
+    read-only inputs too; a larger array's output is allocated first."""
     _check_bound(b)
     form = FORMS[kind][idx]
     Va = np.asarray(V, dtype=float)
     if Va.size <= _BLOCK:
         # run whole; numpy's scalar ** rounds like Python's pow, its array
-        # loops do not, so a 0-d input stays 0-d and a float keeps its bits
+        # loops do not (the d1 forms' squares lie up to 2 ulps apart on
+        # some samples), so a 0-d input stays 0-d and a float keeps its bits
         out = form(_check_domain(Va, b), b)
         return out if Va.shape else float(out)
     out = np.empty(Va.shape)

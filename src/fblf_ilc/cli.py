@@ -84,7 +84,16 @@ class RunConfig(ControllerConfig):
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a flat key = value config file."""
+    """Parse a flat key = value config file.
+
+    Read here: the syntax, unknown keys and keys set twice, each value's
+    type and that a float is finite (named with its line number), the
+    model name, K and T > 0 and N >= 2.  Each built-in model type is
+    built once for its bound_key: the chosen type's bound field is a
+    required positive float, another type's is rejected.  plant.scheme
+    rejects a theorem outside the type's table, and ControllerConfig
+    the controller's fields.  Each error raises ConfigError naming path.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config path is not a file: {path}" if path.exists()

@@ -24,6 +24,13 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class ControllerConfig:
+    """A controller's mode, bound, gain, saturation bound and eps.
+
+    mode is read through Mode(...), so "cont" is Mode.CONT; any other
+    value raises ValueError naming mode.  A bound, gamma, theta_bar or
+    eps that is not positive and finite raises ValueError, and so does
+    cont mode without eps.
+    """
     mode: Mode
     bound: float          # b_V or b_e; plant.value_bound gives V's bound
     gamma: float

@@ -7,7 +7,8 @@ the state, builds the learning signal z, updates the parameter memory,
 and forms the control input.  Across an interval the node estimate
 theta_hat is held, so the node's evaluation is the first integrator
 stage; the state-dependent terms (z, rho, robust action) are
-re-evaluated at the other three stage states.
+re-evaluated at the other three stage states.  Per step, V, grad V, rho
+and the robust term are evaluated four times, and so are f, g and w.
 
 A barrier-domain breach (V >= bound at a node or stage) truncates the
 iteration, flags it, and lets the run continue with the memory as
@@ -92,10 +93,14 @@ def _leave_domain(v, t):
 
 
 class _Shape(NamedTuple):
-    """The primitives in which the float and the array loop differ.  The
-    float dot and matvec are the bare product, -0.0 where numpy's give
-    0.0 + product; so each model term that sums them adds 0.0 once, at
-    its outermost sum, which on arrays changes nothing."""
+    """The primitives in which the float and the array loop differ; the
+    two loops give the same bits.  The float dot and matvec are the bare
+    product, -0.0 where numpy's give 0.0 + product; so each model term
+    that sums them adds 0.0 once, at its outermost sum.  On floats that
+    gives the bits of a 0.0 on each product (f + (0.0 + g x) is
+    0.0 + (f + g x) for every float, signed zeros, infinities and NaN
+    included); on arrays it changes no bit but costs one array add per
+    call of a term."""
     unwrap: Callable   # a model's vector or matrix -> the loop's form
     dot: Callable      # inner product, as a float
     matvec: Callable   # matrix (in the loop's form) times vector
@@ -145,7 +150,12 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
                   scheme: plant.Scheme, k: int = 0,
                   xd_table: list | None = None) -> IterationTrace:
     """Run one iteration of scheme's closed loop, updating memory in place;
-    each stage reads its time off grid.times, where xd_table was read."""
+    each stage reads its time off grid.times, where xd_table was read.
+
+    Raises ValueError, before the first step, when memory's horizon is
+    not model.T, its width not model.m, or xd_table's length not that of
+    grid.times; the message names both widths or both lengths.
+    """
     grid = memory.grid
     if grid.T != model.T:  # run builds its grid from model.T
         raise ValueError("memory grid horizon does not match model horizon")
@@ -170,7 +180,9 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
     N, dt = grid.N, grid.dt
     rho = model.uncertainty.rho
 
-    # z and each stage derivative are read into the loop's form once
+    # z and each stage derivative are read into the loop's form once, not
+    # each of LgV, f, g and w: IEEE +, - and * round the same on floats,
+    # numpy scalars and size-1 arrays, so the bits are an all-float run's
     def deriv(t, e, xd):
         v = value(e, t)
         if not v < bound:
@@ -226,13 +238,16 @@ def run_iteration(model, config: ControllerConfig, memory: ParamMemory,
 
 def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
               scheme: plant.Scheme) -> list[IterationSummary]:
-    """Per-node Lyapunov-Krasovskii monitor of traces on one grid.
+    """Per-node Lyapunov-Krasovskii monitor of traces on one grid: the
+    one code that forms L.
 
     L(t) = BLF(V(t)) + (1/2 gamma) * integral of |theta - theta_hat|^2,
     the integral by the grid's trapezoid rule, with BLF of scheme's
     monitor kind, theta = plant.theta_path at the nodes (simulation-only)
     and gamma config's learning gain.  Sets each trace's L, NaN from its
-    breach node on, and returns their summaries.
+    breach node on, and returns their summaries.  An empty list, or a
+    trace whose t is not the first trace's, raises ValueError before any
+    L is set.
     """
     if not traces:
         raise ValueError("monitor_L got no traces")
@@ -245,7 +260,11 @@ def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
     theta_table = plant.theta_path(model, t.tolist())
     dt = t[1] - t[0]
     nodes = np.arange(len(t))
-    step = max(1, _BLOCK // len(t))  # <= _BLOCK node rows: caps peak memory
+    # <= _BLOCK node rows: caps peak memory.  Without the blocks, the peak
+    # RSS of simulate (model I, b_V = 0.5, N = 2000, --svg; ru_maxrss,
+    # median of 5 processes on a 2-vCPU Xeon) rose from 33.9 to 36.4 MiB
+    # at K = 30 and from 47.2 to 70.6 MiB at K = 200.
+    step = max(1, _BLOCK // len(t))
     summaries, prev_LT = [], float("nan")
     for i in range(0, len(traces), step):
         block = traces[i:i + step]
@@ -274,7 +293,14 @@ def monitor_L(traces: list[IterationTrace], model, config: ControllerConfig,
 
 def run(model, config: ControllerConfig, K: int, N: int = 2000,
         theorem: int = 1) -> RunResult:
-    """Execute K iterations of theorem's scheme, threading the memory."""
+    """Execute K iterations of theorem's scheme, threading the memory,
+    then monitor and summarise them in one pass.
+
+    The theorem is resolved once, through plant.scheme, before the grid
+    or the memory is built, and kept as RunResult.scheme.  x_d is called
+    3N + 2 times: 2N + 1 for the table every iteration reads, and N + 1
+    for the monitor's theta.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     scheme = plant.scheme(model, theorem)
@@ -299,7 +325,9 @@ class DeltaLVerdict:
 
 def check_delta_L(result: RunResult) -> list[DeltaLVerdict]:
     """Verify the per-iteration decrease of the monitor at t = T, on the
-    L(T) and delta L that monitor_L wrote into result's summaries.
+    L(T) and delta L that monitor_L wrote into result's summaries, so its
+    delta L is the one in summary.csv; only V_{k-1}(T) is read off the
+    traces.
 
     The model type names the required decrease: V_{k-1}(T) for model I,
     the BLF value W_{k-1}(T) for model II; a smoothed scheme adds an
@@ -339,7 +367,8 @@ def write_trace_csv(result: RunResult, path):
     with open(path, "w", newline="") as fh:
         fh.write(_csv_lines([header]))
         for tr in result.traces:
-            # each column read once, as Python floats
+            # each column read once, as Python floats; repr of each float
+            # is the writer's floor
             cols = (list(tr.e.T) + list(tr.u.T) + [tr.V, tr.L]
                     + list(tr.theta_hat.T))
             end = tr.valid.stop

@@ -12,6 +12,10 @@ norm-bounded by a user-supplied rho(e, t).
 
 Each model type carries its constraint: bound, barrier scale, the scheme
 of each theorem, closed-loop terms, required decrease and error radius.
+The engine and the CLI read the bound field and the theorem table from
+the model type alone, and no module outside plant tests a theorem's
+number, so a model type registered in BUILTIN_MODELS needs no code edit
+outside plant.
 """
 
 from __future__ import annotations
@@ -85,7 +89,14 @@ class ErrorModelI:
 
     def loop_terms(self, shape):
         """The closed loop's (value, grad, rhs) in shape's primitives, by
-        engine._Shape's 0.0 rule, in the types the callables return."""
+        engine._Shape's 0.0 rule, in the types the callables return.
+
+        So when a callable returns numpy scalars, an overflow in one of
+        rhs's sums or products (model II's u + w too) warns in library
+        use, where floats overflow to inf silently, and the loop raises
+        NonFiniteStateError at the next stage either way; under the CLI's
+        np.errstate it raises FloatingPointError, which exits 4.
+        """
         matvec = shape.matvec
         f, g, w = self.f, self.g, self.uncertainty.w
 
@@ -122,7 +133,13 @@ class ErrorModelII:
         2: Scheme(BarrierKind.FV, BarrierKind.FV, True)}
 
     def __post_init__(self):
-        # each read once, as a copy: a later edit cannot bypass the checks
+        """Read A, b and P once each as a float copy, so nested lists serve
+        and a caller's later edit reaches neither the model nor its checks.
+        Raise ValueError naming the matrix unless it is a finite, nonempty
+        matrix with A n x n, b n x m (m >= 1) and P n x n, then unless P
+        is symmetric (the loop's B'Pe is half the gradient of e'Pe only
+        then) and P and -(A'P + PA) are positive definite, giving the
+        smallest eigenvalue."""
         A, b, P = (np.array(getattr(self, k), dtype=float) for k in "AbP")
         n = A.shape[0] if A.ndim == 2 and A.size else "n"
         for name, M, cols in (("A", A, n), ("b", b, "m"), ("P", P, n)):
@@ -177,7 +194,9 @@ class ErrorModelII:
 
 
 def scheme(model, theorem: int) -> Scheme:
-    """The scheme of theorem, from the model type's table."""
+    """The scheme of theorem, from the model type's table: the one lookup,
+    which engine.run makes once per run.  A theorem outside the table
+    raises ValueError."""
     if theorem not in model.theorems:
         raise ValueError(f"theorem must be one of {sorted(model.theorems)}, "
                          f"got {theorem}")
@@ -185,7 +204,8 @@ def scheme(model, theorem: int) -> Scheme:
 
 
 def value_bound(model, bound: float) -> float:
-    """The bound on V, from the value of the model type's bound_key."""
+    """The bound on V, from the value of the model type's bound_key: the
+    one the closed loop, the monitor and the CLI's constraint plot read."""
     v = bound ** model.bound_power
     if not 0 < v < math.inf:  # b_e ** 2 is 0.0 below about 1.57e-162
         raise BarrierDomainError(f"{model.bound_key} = {bound}: V's bound {v}")
@@ -195,12 +215,17 @@ def value_bound(model, bound: float) -> float:
 def float_native(model) -> bool:
     """n = m = 1: the model's callables (V, LgV, f, g, w, rho) receive a
     Python float state, not an array, in the closed loop, in theta_path,
-    delta_w and the sampled checks; x_d returns a float or size-1 array."""
+    delta_w and the sampled checks, so a w written for floats alone
+    serves everywhere.  V and rho return a float or a numpy scalar; LgV,
+    f, g, w and x_d may also return a size-1 array.  A larger model's
+    callables receive (n,) arrays, and its x_d returns one."""
     return model.n == model.m == 1
 
 
 def _item(a) -> float:
-    """A float-native model's output, a float or of size 1, as a float."""
+    """A float-native model's output, a float or of size 1, as a float:
+    the one converter to the loop's float.  The engine reads z and each
+    stage's derivative through it, and _desired each x_d(t)."""
     if type(a) is float:
         return a
     a = np.asarray(a, dtype=float)
@@ -211,7 +236,9 @@ def _item(a) -> float:
 
 
 def _desired(model, times) -> list:
-    """x_d at each of times, as the model's callables take a state."""
+    """x_d at each of times, as the model's callables take a state.  An
+    x_d of another size or shape raises ValueError here, when the x_d
+    table is read, before any row of theta* is learned."""
     x_d = model.x_d
     if float_native(model):
         return [_item(x_d(t)) for t in times]

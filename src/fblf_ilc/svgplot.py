@@ -40,6 +40,9 @@ def line_plot(path, x, label, ys, title="", xlabel="", ylabel="",
     """Write an SVG line chart of the series ys over x, labelled label.
 
     Non-finite and (for log scale) non-positive points are dropped.
+    Every text element is escaped, so the SVG parses as XML whatever the
+    title and labels hold.  x and ys of different lengths raise
+    ValueError naming both lengths.
     """
     x = [float(v) for v in x]
     if len(x) != len(ys):

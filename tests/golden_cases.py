@@ -14,7 +14,9 @@ iterations breach the constraint inside an integrator stage.
 
 CASES lists every digest's (model, theorem, mode, bound, N).  A case
 runs K iterations of config(case) on model(case), and exact_scheme(case)
-is tests/oracle.py's scheme on the same floats.  These import fblf_ilc
+is tests/oracle.py's scheme on the same floats.  tests/test_golden.py,
+tests/test_oracle.py and tests/golden_diff.py all read this table, so
+re-recording a digest edits this file alone.  These import fblf_ilc
 when called, not at import, so that a process that put another
 checkout's src first on sys.path runs that checkout's package.
 """

@@ -7,11 +7,12 @@ golden case (K = 3) in its own subprocess, with its src first on
 sys.path, and prints each iteration's e, u, V, theta_hat and L as float
 reprs, its breach node and check_delta_L's verdicts, as JSON.  For each
 case whose output differs, the report gives the fields that moved with
-the largest difference of each in ulps, the breach nodes on each side,
-the delta-L verdicts that changed, and each side's largest distance
-from tests/oracle.py's exact run (e, V and theta_hat, relative to each
-trace's max, over the rows both computed).  The exact run reads this
-checkout's float inputs.  The CHAOTIC cases amplify rounding to O(1)
+the largest difference of each in ulps (the iterations' fields, a
+CHAOTIC case's theta* restart rows, and the delta-L values and their
+requirements), the breach nodes on each side, the delta-L verdicts that
+changed, and each side's largest distance from tests/oracle.py's exact
+run (e, V and theta_hat, relative to each trace's max, over the rows
+both computed).  The exact run reads this checkout's float inputs.  The CHAOTIC cases amplify rounding to O(1)
 over a run, so each side is judged there by the step check: every step
 restarted from that side's own e and theta*.
 
@@ -96,11 +97,19 @@ def ordinals(reprs) -> list[int]:
 
 
 def moved_fields(here, other) -> list[str]:
-    """'field N ulps' for each field that differs in any iteration."""
+    """'field N ulps' for each field of two emitted cases that differs:
+    FIELDS in any iteration, a CHAOTIC case's theta_star restart rows, and
+    check_delta_L's delta_L and required at each k both sides verdict."""
+    columns = [(key, [(a, b) for h, o in zip(here["iterations"],
+                                             other["iterations"])
+                      for a, b in zip(h.get(key, ()), o.get(key, ()))])
+               for key in FIELDS + ("theta_star",)]
+    hv, ov = ({v[0]: v for v in side["delta_L"]} for side in (here, other))
+    columns += [(key, [(hv[k][j], ov[k][j]) for k in hv.keys() & ov.keys()])
+                for j, key in ((1, "delta_L"), (2, "required"))]
     lines = []
-    for key in FIELDS:
-        pairs = [(a, b) for h, o in zip(here, other)
-                 for a, b in zip(h[key], o[key]) if a != b]
+    for key, pairs in columns:
+        pairs = [(a, b) for a, b in pairs if a != b]
         if not pairs:
             continue
         fin = [(a, b) for a, b in pairs if "nan" not in (a, b)]
@@ -154,7 +163,7 @@ def report(here_cases, other_cases) -> int:
         hi, oi = h["iterations"], o["iterations"]
         print(f"model {model}, theorem {theorem}, {mode}, bound {bound!r},"
               f" N = {N}: moved")
-        print("  fields: " + (", ".join(moved_fields(hi, oi)) or "none"))
+        print("  fields: " + (", ".join(moved_fields(h, o)) or "none"))
         print(f"  breach nodes: here {[it['breach'] for it in hi]}, "
               f"other {[it['breach'] for it in oi]}")
         verdicts = changed_verdicts(h["delta_L"], o["delta_L"])

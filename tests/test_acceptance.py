@@ -3,6 +3,29 @@
 Each test covers one frozen criterion and prints a single PASS/FAIL line
 so the verdicts can be read off a `pytest -v -s` run at a glance.  Heavy
 closed-loop runs are shared through module-scoped fixtures.
+
+1. Closed-form derivatives match central finite differences (rel 1e-6,
+   10^3 points per kind and bound, under 1 s).
+2. Every asserted ordering relation between barrier kinds holds on 10^4
+   samples (slack 1e-12); a deliberately reversed pair is rejected.
+3. IBP probes give c = 1 or 2 within 1e-4 where the property holds, and
+   a vanishing limit for LI and FI.
+4. Model I at desk scale (disc, b_V = 0.5, gamma = 2, theta_bar = 1,
+   N = 2000, K = 30): no breach, sup|e| non-increasing after the second
+   iteration (5 % slack), final sup|e| <= 1e-2, under 10 s.
+5. Model II (b_e^2 = 1): e'Pe < 1 throughout, final sup|e| <= 1e-2.
+6. Smoothed mode (Theorem 2, K = 12, N = 2000): (a) the tail limsup of
+   sup V stays within 1.5 times the residual bound (eps T, 2 eps T for
+   model II) for both built-ins at eps in {1e-3, 1e-2}; (b) halving eps
+   from 1e-2 to 5e-3 shrinks the tail plateau by a factor in [1.3, 2.7]
+   for both models, with a tail flat to 1 % and no breach, on
+   plateau_model's workload.
+7. The monitor decrease holds for every iteration of the runs of 4-6,
+   and the applied estimate never exceeds theta_bar (exact).
+8. The lemma checkers give the stated verdicts on three constructed
+   sequences each, and lemma 2 with d = 0 matches lemma 1 bit for bit.
+9. Doubling N changes the final error by < 10 %.
+10. Repeated simulate runs write byte-identical CSVs.
 """
 
 import dataclasses
@@ -102,7 +125,13 @@ def plateau_model(model):
     Δw = e/2 + a·tanh(e/δ) equals its bound ρ for e > 0, so the smoothed
     term leaks z·(Δw − s) = ερ|z|/(ρ|z| + ε), which is ε while ρ|z| ≫ ε.
     The plateau is the equilibrium e = ερ/(ρ|z| + ε) of ė = −e + Δw − s:
-    with z ≈ c·e near V = 0 it gives e² ≈ ε/c, so V ∝ ε.
+    with z ≈ c·e near V = 0 it gives e² ≈ ε/c, so V ∝ ε.  The workload
+    passes check_certificate and check_uncertainty_bound, ρ(0, t) = 0
+    included.  Measured ratios on halving ε: 1.96 (model I) and 1.94
+    (model II), the same at N = 4000.  On the built-ins the tail is a
+    learning transient, four or more orders below εT, that still falls
+    by a fifth to a quarter per iteration, and the ratios read 1.00 and
+    1.03.
     """
     x_d = model.x_d
 

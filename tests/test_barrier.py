@@ -229,6 +229,14 @@ class TestIbp:
         assert probe.ibp_holds
         assert probe.c_estimate == pytest.approx(c, abs=1e-4)
 
+    @pytest.mark.parametrize("kind,c", [("FII", 1.0), ("FIV", 2.0)])
+    def test_limit_at_v_below_one(self, kind, c):
+        # the probe divides by V: at V = 1 a product f * V reads the same,
+        # at V = 0.5 it gives a quarter of the limit
+        probe = ibp_probe(BarrierKind(kind), 0.5, self.SEQ)
+        assert probe.ibp_holds
+        assert probe.c_estimate == pytest.approx(c, abs=1e-6)
+
     @pytest.mark.parametrize("kind", ["LI", "FI"])
     def test_failing_kinds(self, kind):
         probe = ibp_probe(BarrierKind(kind), 1.0, self.SEQ)

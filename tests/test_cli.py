@@ -611,6 +611,15 @@ class TestSimulate:
         assert ("numerical failure: FloatingPointError: overflow"
                 in capsys.readouterr().err)
 
+    # the error README names for each bound at a limit of floats
+    BOUND_FAILURES = {
+        "b_V = 1e-300": "ZeroDivisionError: ",
+        "b_e = 1e-170": "BarrierDomainError: b_e = 1e-170: V's bound 0.0",
+        "b_V = 1.35e154": "OverflowError: ",
+        "b_e = 1.16e77": "OverflowError: ",
+        "b_e = 2e-162": "ZeroDivisionError: ",
+    }
+
     # (model, fields, exit code) at the limits of each field: no input
     # ends in a traceback
     @pytest.mark.parametrize("model, fields, code", [
@@ -627,6 +636,12 @@ class TestSimulate:
         ("scalar-I", ["b_V = 0.5", "mode = cont", "eps = 1e-300"], 0),
         ("scalar-I", ["b_V = 0.5", "mode = cont", "eps = 1e300"], 0),
         ("scalar-II", ["b_e = 1e-170"], 4),  # b_e ** 2 underflows to 0.0
+        # the d1 forms' float ** raises past a bound on V of about 1.34e154
+        ("scalar-I", ["b_V = 1.3e154"], 0),
+        ("scalar-I", ["b_V = 1.35e154"], 4),
+        ("scalar-II", ["b_e = 1e76"], 0),
+        ("scalar-II", ["b_e = 1.16e77"], 4),
+        ("scalar-II", ["b_e = 2e-162"], 4),  # b_e ** 2 is subnormal
     ])
     def test_extreme_value_exit_code(self, tmp_path, capsys, model, fields,
                                      code):
@@ -637,7 +652,8 @@ class TestSimulate:
         assert main(["simulate", str(path), "--svg"]) == code
         err = capsys.readouterr().err
         if code == 4:
-            assert err.startswith(f"error: {path}: numerical failure: ")
+            error = self.BOUND_FAILURES.get(fields[0], "")
+            assert err.startswith(f"error: {path}: numerical failure: {error}")
             assert err.count("\n") == 1
         else:
             assert err == ""

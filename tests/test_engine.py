@@ -151,7 +151,7 @@ class TestRunIteration:
     def test_node_evaluation_is_first_stage(self, monkeypatch):
         # the node's V, LgV, rho and robust term serve RK4's k1: per
         # interval, four stage evaluations and no repeat, plus one at the
-        # final node, and four of f, g and w (README's counts)
+        # final node, and four of f, g and w (engine's docstring)
         counts = {}
 
         def counted(name, fn):
